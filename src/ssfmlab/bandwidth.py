@@ -68,7 +68,8 @@ def sweep_bandwidth(
     threads: int = 1,
     launch_fields: np.ndarray | None = None,
     bench_fields: np.ndarray | None = None,
-) -> BandwidthSweep:
+    spans: Sequence[float] | None = None,
+) -> BandwidthSweep | tuple[BandwidthSweep, ...]:
     """Evaluate a scenario's seed-averaged NSD over a filter-fraction grid.
 
     The fraction grid must be strictly ascending, lie in (0, 1] and contain
@@ -77,27 +78,29 @@ def sweep_bandwidth(
     already hold them can pass ``launch_fields``/``bench_fields`` to skip the
     recomputation.  A fraction whose propagation diverges is recorded as
     NSD = +inf rather than failing the sweep.
+
+    With ``spans`` (ascending km, see :func:`runner.benchmark_fields`) each
+    fraction is propagated once and scored at every span, and one sweep per
+    span is returned as a tuple.
     """
     fractions = _validate_fractions(fractions if fractions is not None else default_fractions())
     if launch_fields is None:
         launch_fields = runner.shaped_fields(scenario)
     if bench_fields is None:
-        bench_fields = runner.benchmark_fields(scenario)
+        bench_fields = runner.benchmark_fields(scenario, spans)
 
-    def evaluate(fraction: float) -> float:
-        per_seed = runner.fraction_nsds(scenario, fraction, launch_fields, bench_fields)
-        return float(np.mean(per_seed))
+    def evaluate(fraction: float) -> tuple[float, ...]:
+        per_seed = runner.fraction_nsds(scenario, fraction, launch_fields, bench_fields, spans)
+        return tuple(float(np.mean(row)) for row in per_seed)
 
     if threads == 1 or len(fractions) == 1:
-        values = tuple(evaluate(f) for f in fractions)
+        per_fraction = [evaluate(f) for f in fractions]
     else:
         workers = threads if threads > 0 else min(len(fractions), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(evaluate, fractions))
-    best_fraction, best_nsd = _select_best(fractions, values)
-    return BandwidthSweep(
-        fractions=fractions,
-        nsd_values=values,
-        best_fraction=best_fraction,
-        best_nsd=best_nsd,
-    )
+            per_fraction = list(pool.map(evaluate, fractions))
+    sweeps = []
+    for values in zip(*per_fraction):
+        best_fraction, best_nsd = _select_best(fractions, values)
+        sweeps.append(BandwidthSweep(fractions, values, best_fraction, best_nsd))
+    return tuple(sweeps) if spans is not None else sweeps[0]

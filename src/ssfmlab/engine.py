@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "linear_multiplier",
     "nonlinear_step",
     "propagate",
+    "run_segments",
     "benchmark_output",
     "BENCHMARK_SPP",
     "BENCHMARK_DZ_KM",
@@ -150,17 +152,25 @@ def nonlinear_step(wave: Waveform, gamma: float, dz_km: float) -> Waveform:
     return Waveform(samples=rotated, grid=wave.grid, z_km=wave.z_km)
 
 
-def _run_segments(fields: np.ndarray, h: np.ndarray, gamma_dz: float, n_seg: int) -> np.ndarray:
-    """Iterate nonlinear-then-linear segments over a (..., n) field array.
+def run_segments(
+    fields: np.ndarray, h: np.ndarray, gamma_dz: float, stops: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Propagate a (..., n) field array and yield it at each segment count in ``stops``.
 
+    One segment is the Kerr rotation followed by the linear step ``h``.
+    ``stops`` must be ascending, and the run ends at the last of them, so a
+    shorter span is read off a longer run instead of being propagated again.
     Rows evolve independently; non-finite values are allowed to propagate so
     callers can decide per row how to handle divergence.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_seg):
-            fields = fields * _kerr_factors(fields, gamma_dz)
-            fields = np.fft.ifft(np.fft.fft(fields, axis=-1) * h, axis=-1)
-    return fields
+    done = 0
+    for stop in stops:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(done, stop):
+                fields = fields * _kerr_factors(fields, gamma_dz)
+                fields = np.fft.ifft(np.fft.fft(fields, axis=-1) * h, axis=-1)
+        done = stop
+        yield fields
 
 
 def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:
@@ -174,14 +184,10 @@ def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:
         raise ValueError(f"input waveform must be at z = 0, got z = {wave.z_km} km")
     _check_span(cfg, fiber.span_km)
     h = linear_multiplier(wave.grid, fiber, cfg).values
-    gamma_dz = fiber.gamma * cfg.dz_km
-    field = wave.samples
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg in range(cfg.n_seg):
-            field = field * _kerr_factors(field, gamma_dz)
-            field = np.fft.ifft(np.fft.fft(field) * h)
-            if not np.all(np.isfinite(field)):
-                raise NumericalOverflowError(seg)
+    snapshots = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, range(1, cfg.n_seg + 1))
+    for seg, field in enumerate(snapshots):
+        if not np.all(np.isfinite(field)):
+            raise NumericalOverflowError(seg)
     return Waveform(samples=field, grid=wave.grid, z_km=fiber.span_km)
 
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import bandwidth, runner
 from .engine import BENCHMARK_DZ_KM, BENCHMARK_SPP, FiberParams, SsfmConfig, propagate
 from .metrics import NsdReport
@@ -36,6 +34,7 @@ __all__ = [
     "emit_csv",
     "write_trace_csv",
     "preset_jobs",
+    "fig2_scenario",
     "reproduce_fig2",
 ]
 
@@ -140,16 +139,18 @@ def parse_fraction_spec(text: str) -> tuple[float, ...]:
     """Fraction grids are ``start:step:stop`` ranges or comma lists."""
     text = text.strip()
     try:
-        if ":" in text:
-            start, step, stop = (float(p) for p in text.split(":"))
-            count = round((stop - start) / step)
-            grid = tuple(round(start + i * step, 12) for i in range(count + 1))
-            if not math.isclose(grid[-1], stop, rel_tol=1e-9):
-                raise ScenarioError(f"step does not divide the range in {text!r}")
-            return grid
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(",") if p.strip())
+        start, step, stop = (float(p) for p in text.split(":"))
+        span = (stop - start) / step
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"cannot parse fraction grid {text!r}") from exc
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ScenarioError(f"range {text!r} does not lead from start to stop")
+    grid = tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+    if not math.isclose(grid[-1], stop, rel_tol=1e-9):
+        raise ScenarioError(f"step does not divide the range in {text!r}")
+    return grid
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -183,7 +184,7 @@ def parse_scenario(text: str) -> Scenario:
 
     def integer(key: str, default: int) -> int:
         value = number(key, float(default))
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ScenarioError(f"key {key!r}: expected an integer, got {entries[key]!r}")
         return int(value)
 
@@ -238,16 +239,39 @@ def load_scenario(path: str) -> Scenario:
 # running scenarios
 
 
-def _fraction_grid(scenario: Scenario) -> tuple[float, ...]:
+def _warn_overflows(values: Sequence[float], what: str) -> None:
+    n_bad = sum(1 for v in values if not math.isfinite(v))
+    if n_bad:
+        log.warning("%d of %d %s overflowed (reported as inf)", n_bad, len(values), what)
+
+
+def _point_grid(scenario: Scenario) -> tuple[float, ...]:
+    """The fractions one point evaluates: the optimize grid, or its pinned fraction and 1.0."""
+    if scenario.filter_fraction != OPTIMIZE:
+        return tuple(sorted({float(scenario.filter_fraction), 1.0}))
     if scenario.optimize_fractions is not None:
         return scenario.optimize_fractions
     return bandwidth.default_fractions()
 
 
-def _warn_overflows(values: Sequence[float], what: str) -> None:
-    n_bad = sum(1 for v in values if not math.isfinite(v))
-    if n_bad:
-        log.warning("%d of %d %s overflowed (reported as inf)", n_bad, len(values), what)
+def _evaluate(
+    scenario: Scenario, spans: Sequence[float], threads: int
+) -> tuple[bandwidth.BandwidthSweep, ...]:
+    """One fraction-grid sweep per span, all read off runs to ``scenario``'s span."""
+    results = bandwidth.sweep_bandwidth(
+        scenario, _point_grid(scenario), threads=threads, spans=spans
+    )
+    for result in results:
+        _warn_overflows(result.nsd_values, "fractions")
+    return results
+
+
+def _columns(scenario: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
+    """(NSD without filter, NSD with the chosen filter, chosen fraction) of one point."""
+    if scenario.filter_fraction == OPTIMIZE:
+        return result.value_at(1.0), result.best_nsd, result.best_fraction
+    fraction = float(scenario.filter_fraction)
+    return result.value_at(1.0), result.value_at(fraction), fraction
 
 
 def run_scenario(
@@ -259,48 +283,32 @@ def run_scenario(
     is returned and the second element is None.  With ``"optimize"`` the
     report carries the unfiltered (fraction 1.0) NSD and the full bandwidth
     sweep is returned alongside it.  Seeds that overflow enter the average
-    as +inf and are counted in a logged warning.
+    as +inf, and overflowed fractions are counted in a logged warning.
     """
-    grid_c = runner.candidate_grid(scenario)
+    (result,) = _evaluate(scenario, (scenario.fiber.span_km,), threads)
+    without, with_lpf, _ = _columns(scenario, result)
+    optimize = scenario.filter_fraction == OPTIMIZE
     grid_b = runner.benchmark_grid(scenario)
-    launch_fields = runner.shaped_fields(scenario)
-    bench_fields = runner.benchmark_fields(scenario)
-    if scenario.filter_fraction == OPTIMIZE:
-        result = bandwidth.sweep_bandwidth(
-            scenario,
-            _fraction_grid(scenario),
-            threads=threads,
-            launch_fields=launch_fields,
-            bench_fields=bench_fields,
-        )
-        _warn_overflows(result.nsd_values, "fractions")
-        report = NsdReport(
-            nsd=result.value_at(1.0),
-            reference_grid=grid_b,
-            candidate_grid=grid_c,
-            comparison_grid=grid_b,
-        )
-        return report, result
-    per_seed = runner.fraction_nsds(
-        scenario, float(scenario.filter_fraction), launch_fields, bench_fields
-    )
-    _warn_overflows(per_seed, "seeds")
     report = NsdReport(
-        nsd=float(np.mean(per_seed)),
+        nsd=without if optimize else with_lpf,
         reference_grid=grid_b,
-        candidate_grid=grid_c,
+        candidate_grid=runner.candidate_grid(scenario),
         comparison_grid=grid_b,
     )
-    return report, None
+    return report, result if optimize else None
+
+
+def _at_span(scenario: Scenario, span_km: float) -> Scenario:
+    return dataclasses.replace(scenario, fiber=dataclasses.replace(scenario.fiber, span_km=span_km))
 
 
 def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
     if axis == "distance":
-        return dataclasses.replace(base, fiber=dataclasses.replace(base.fiber, span_km=value))
+        return _at_span(base, value)
     if axis == "power":
         return dataclasses.replace(base, launch=dataclasses.replace(base.launch, power_dbm=value))
     if axis == "dt":
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ScenarioError(f"dt axis values are samples per symbol, got {value}")
         return dataclasses.replace(base, candidate_spp=int(value))
     raise ScenarioError(f"unknown sweep axis {axis!r}")  # pragma: no cover
@@ -319,8 +327,10 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
 
     Axis values are km for ``distance``, dBm for ``power``, integer samples
     per symbol for ``dt`` and filter fractions for ``bandwidth``.  Segment
-    counts are recomputed per point from the fixed step sizes.  For the
-    bandwidth axis a single benchmark set is shared by all points.
+    counts are recomputed per point from the fixed step sizes, and every
+    point is checked before anything is propagated.  Points that differ
+    only in span are read off one propagation to the farthest of them.  For
+    the bandwidth axis a single benchmark set is shared by all points.
     """
     if axis not in AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
@@ -341,38 +351,24 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
             chosen_fractions=tuple(float(v) for v in values),
         )
 
-    without: list[float] = []
-    with_lpf: list[float] = []
-    chosen: list[float] = []
-    for value in values:
-        point = _substitute(base, axis, float(value))
-        if point.filter_fraction == OPTIMIZE:
-            report, sweep_result = run_scenario(point, threads=threads)
-            assert sweep_result is not None
-            without.append(report.nsd)
-            with_lpf.append(sweep_result.best_nsd)
-            chosen.append(sweep_result.best_fraction)
-        elif point.filter_fraction == 1.0:
-            report, _ = run_scenario(point, threads=threads)
-            without.append(report.nsd)
-            with_lpf.append(report.nsd)
-            chosen.append(1.0)
-        else:
-            fraction = float(point.filter_fraction)
-            launch_fields = runner.shaped_fields(point)
-            bench_fields = runner.benchmark_fields(point)
-            at_fraction = runner.fraction_nsds(point, fraction, launch_fields, bench_fields)
-            at_unity = runner.fraction_nsds(point, 1.0, launch_fields, bench_fields)
-            _warn_overflows(tuple(at_fraction) + tuple(at_unity), "seeds")
-            without.append(float(np.mean(at_unity)))
-            with_lpf.append(float(np.mean(at_fraction)))
-            chosen.append(fraction)
+    points = [_substitute(base, axis, float(v)) for v in values]
+    for point in points:  # every span must be whole steps before anything runs
+        for dz_km in (point.candidate_dz_km, point.benchmark_dz_km):
+            SsfmConfig.from_step(point.fiber.span_km, dz_km)
+    # Points that differ only in span share one run to the farthest of them;
+    # 1 km stands in for the span in the key that groups them.
+    groups: dict[Scenario, set[float]] = {}
+    for point in points:
+        groups.setdefault(_at_span(point, 1.0), set()).add(point.fiber.span_km)
+    results: dict[Scenario, bandwidth.BandwidthSweep] = {}
+    for shape, span_set in groups.items():
+        spans = sorted(span_set)
+        for span, result in zip(spans, _evaluate(_at_span(shape, spans[-1]), spans, threads)):
+            results[_at_span(shape, span)] = result
+    without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
 
-    if axis == "dt":
-        axis_values = tuple(100.0 / float(v) for v in values)
-    else:
-        axis_values = tuple(float(v) for v in values)
-    return SweepResult(column, axis_values, tuple(without), tuple(with_lpf), tuple(chosen))
+    axis_values = tuple(100.0 / float(v) if axis == "dt" else float(v) for v in values)
+    return SweepResult(column, axis_values, without, with_lpf, chosen)
 
 
 # --------------------------------------------------------------------------
@@ -425,93 +421,75 @@ class SweepJob:
     base: Scenario
 
 
-def _fiber(span_km: float) -> FiberParams:
-    return FiberParams(beta2=-21.7, gamma=1.27, alpha=0.0, span_km=span_km)
+def _preset_scenario(
+    spp: int,
+    power_dbm: float,
+    desk_scale: bool,
+    desk_seeds: int,
+    seeds: tuple[int, ...] | None,
+    span_km: float = 1000.0,
+    dz_km: float = 0.1,
+) -> Scenario:
+    """An optimizing preset scenario at full scale (256 symbols, 20 seeds, 0.01
+    fraction grid) or desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 grid)."""
+    n_symbols, default_seeds, step = (64, desk_seeds, 0.05) if desk_scale else (256, 20, 0.01)
+    return Scenario(
+        fiber=FiberParams(beta2=-21.7, gamma=1.27, alpha=0.0, span_km=span_km),
+        launch=LaunchSpec(power_dbm=power_dbm),
+        candidate_spp=spp,
+        candidate_dz_km=dz_km,
+        filter_fraction=OPTIMIZE,
+        n_symbols=n_symbols,
+        seeds=seeds or tuple(range(default_seeds)),
+        optimize_fractions=bandwidth.default_fractions(step),
+    )
 
 
-def _preset_scale(desk_scale: bool, desk_seeds: int) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
-    """(n_symbols, seeds, fraction grid) for full or desk scale."""
-    if desk_scale:
-        return 64, tuple(range(desk_seeds)), bandwidth.default_fractions(0.05)
-    return 256, tuple(range(20)), bandwidth.default_fractions(0.01)
+# name: axis, desk seed count, then per scale (full, desk) the (spp, dBm) curve
+# of each job and the axis values (None: the job's fraction grid)
+_PRESET_TABLE = {
+    "fig3a": ("distance", 10, ((16, 10.0),), ((16, 10.0),),
+              tuple(float(z) for z in range(100, 1001, 100)), (200.0, 600.0, 1000.0)),
+    "fig3b": ("power", 6, ((8, 6.0),), ((8, 6.0),),
+              tuple(round(5.4 + 0.3 * i, 12) for i in range(9)), (5.4, 6.6, 7.8)),
+    "fig3c": ("dt", 10, ((16, 10.0),), ((16, 10.0),),
+              (21.0, 20.0, 18.0, 16.0, 15.0, 14.0), (20.0, 16.0, 14.0)),
+    "fig3d": ("bandwidth", 10, ((16, 10.0), (17, 10.0), (8, 6.3), (7, 6.3)),
+              ((16, 10.0), (8, 6.3)), None, None),
+}
 
 
 def preset_jobs(
     name: str, desk_scale: bool = False, seeds: tuple[int, ...] | None = None
 ) -> list[SweepJob]:
     """Sweep jobs for the named preset (``fig2`` has its own entry point)."""
-    if name == "fig3a":
-        n_symbols, default_seeds, fractions = _preset_scale(desk_scale, desk_seeds=10)
-        base = Scenario(
-            fiber=_fiber(1000.0),
-            launch=LaunchSpec(power_dbm=10.0),
-            candidate_spp=16,
-            candidate_dz_km=0.1,
-            filter_fraction=OPTIMIZE,
-            n_symbols=n_symbols,
-            seeds=seeds or default_seeds,
-            optimize_fractions=fractions,
-        )
-        values = (200.0, 600.0, 1000.0) if desk_scale else tuple(float(z) for z in range(100, 1001, 100))
-        return [SweepJob("fig3a", "distance", values, base)]
-    if name == "fig3b":
-        n_symbols, default_seeds, fractions = _preset_scale(desk_scale, desk_seeds=6)
-        base = Scenario(
-            fiber=_fiber(1000.0),
-            launch=LaunchSpec(power_dbm=6.0),
-            candidate_spp=8,
-            candidate_dz_km=0.1,
-            filter_fraction=OPTIMIZE,
-            n_symbols=n_symbols,
-            seeds=seeds or default_seeds,
-            optimize_fractions=fractions,
-        )
-        if desk_scale:
-            values = (5.4, 6.6, 7.8)
-        else:
-            values = tuple(round(5.4 + 0.3 * i, 12) for i in range(9))
-        return [SweepJob("fig3b", "power", values, base)]
-    if name == "fig3c":
-        n_symbols, default_seeds, fractions = _preset_scale(desk_scale, desk_seeds=10)
-        base = Scenario(
-            fiber=_fiber(1000.0),
-            launch=LaunchSpec(power_dbm=10.0),
-            candidate_spp=16,
-            candidate_dz_km=0.1,
-            filter_fraction=OPTIMIZE,
-            n_symbols=n_symbols,
-            seeds=seeds or default_seeds,
-            optimize_fractions=fractions,
-        )
-        values = (20.0, 16.0, 14.0) if desk_scale else (21.0, 20.0, 18.0, 16.0, 15.0, 14.0)
-        return [SweepJob("fig3c", "dt", values, base)]
-    if name == "fig3d":
-        n_symbols, default_seeds, fractions = _preset_scale(desk_scale, desk_seeds=10)
-        curves = [(16, 10.0), (8, 6.3)] if desk_scale else [(16, 10.0), (17, 10.0), (8, 6.3), (7, 6.3)]
-        jobs = []
-        for spp, power_dbm in curves:
-            base = Scenario(
-                fiber=_fiber(1000.0),
-                launch=LaunchSpec(power_dbm=power_dbm),
-                candidate_spp=spp,
-                candidate_dz_km=0.1,
-                filter_fraction=OPTIMIZE,
-                n_symbols=n_symbols,
-                seeds=seeds or default_seeds,
-                optimize_fractions=fractions,
-            )
-            jobs.append(SweepJob(f"fig3d_spp{spp}_{power_dbm}dbm", "bandwidth", fractions, base))
-        return jobs
-    raise ScenarioError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    if name not in _PRESET_TABLE:
+        raise ScenarioError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    axis, desk_seeds, curves, desk_curves, values, desk_values = _PRESET_TABLE[name]
+    if desk_scale:
+        curves, values = desk_curves, desk_values
+    jobs = []
+    for spp, power_dbm in curves:
+        base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, seeds)
+        label = name if len(curves) == 1 else f"{name}_spp{spp}_{power_dbm}dbm"
+        jobs.append(SweepJob(label, axis, values or base.optimize_fractions, base))
+    return jobs
 
 
 FIG2_SPP = (30, 10, 8, 6, 4)
 
 
+def fig2_scenario(
+    spp: int, desk_scale: bool = False, seeds: tuple[int, ...] | None = None
+) -> Scenario:
+    """The ``fig2`` study at ``spp`` samples per symbol: 9.6 dBm, 600 km, 1.5 km steps."""
+    return _preset_scenario(spp, 9.6, desk_scale, 6, seeds, span_km=600.0, dz_km=1.5)
+
+
 def reproduce_fig2(
     desk_scale: bool = False, seeds: tuple[int, ...] | None = None, threads: int = 1
 ) -> tuple[SweepResult, dict[str, Waveform]]:
-    """Time-discretization study at 9.6 dBm over 600 km with 1.5 km steps.
+    """Time-discretization study of :func:`fig2_scenario` over :data:`FIG2_SPP`.
 
     Returns the per-spp NSD summary (unfiltered vs bandwidth-optimized) and
     first-seed output traces: the benchmark plus an unfiltered and a filtered
@@ -519,38 +497,22 @@ def reproduce_fig2(
     resolution but not at its step, so their gap to the benchmark is the
     1.5 km split error, the floor the coarser rows are measured against.
     """
-    n_symbols, default_seeds, fractions = _preset_scale(desk_scale, desk_seeds=6)
-    seeds = seeds or default_seeds
-    fiber = _fiber(600.0)
-    launch = LaunchSpec(power_dbm=9.6)
-
-    def scenario_for(spp: int) -> Scenario:
-        return Scenario(
-            fiber=fiber,
-            launch=launch,
-            candidate_spp=spp,
-            candidate_dz_km=1.5,
-            filter_fraction=OPTIMIZE,
-            n_symbols=n_symbols,
-            seeds=seeds,
-            optimize_fractions=fractions,
-        )
-
-    first = scenario_for(FIG2_SPP[0])
+    first = fig2_scenario(FIG2_SPP[0], desk_scale, seeds)
+    span_km = first.fiber.span_km
     bench_fields = runner.benchmark_fields(first)
     bench_grid = runner.benchmark_grid(first)
     traces: dict[str, Waveform] = {
-        "benchmark": Waveform(samples=bench_fields[0], grid=bench_grid, z_km=fiber.span_km)
+        "benchmark": Waveform(samples=bench_fields[0][0], grid=bench_grid, z_km=span_km)
     }
     without: list[float] = []
     with_lpf: list[float] = []
     chosen: list[float] = []
     for spp in FIG2_SPP:
-        scenario = scenario_for(spp)
+        scenario = fig2_scenario(spp, desk_scale, seeds)
         launch_fields = runner.shaped_fields(scenario)
         result = bandwidth.sweep_bandwidth(
             scenario,
-            fractions,
+            scenario.optimize_fractions,
             threads=threads,
             launch_fields=launch_fields,
             bench_fields=bench_fields,
@@ -562,8 +524,8 @@ def reproduce_fig2(
         grid = runner.candidate_grid(scenario)
         seed0 = Waveform(samples=launch_fields[0], grid=grid, z_km=0.0)
         for suffix, fraction in (("unfiltered", 1.0), ("filtered", result.best_fraction)):
-            cfg = SsfmConfig.from_step(fiber.span_km, 1.5, filter_fraction=fraction)
-            traces[f"spp{spp}_{suffix}"] = propagate(seed0, fiber, cfg)
+            cfg = SsfmConfig.from_step(span_km, scenario.candidate_dz_km, filter_fraction=fraction)
+            traces[f"spp{spp}_{suffix}"] = propagate(seed0, scenario.fiber, cfg)
     summary = SweepResult(
         axis_name="samples_per_symbol",
         axis_values=tuple(float(s) for s in FIG2_SPP),

@@ -4,14 +4,15 @@ A scenario (defined in :mod:`ssfmlab.harness`) is consumed here purely
 through its parameter attributes.  All seeds of a scenario are propagated
 together as the rows of one 2-D field array, which keeps long sweeps cheap;
 rows evolve independently, so per-seed results do not depend on the batch.
-Rows that diverge to non-finite values are reported as NSD = +inf instead of
-aborting the run.
+Shorter spans are read off the run to the farthest one, of which they are
+prefixes.  Rows that diverge to non-finite values are reported as
+NSD = +inf instead of aborting the run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -46,15 +47,31 @@ def shaped_fields(scenario: "Scenario") -> np.ndarray:
     return _shaped_batch(scenario, candidate_grid(scenario))
 
 
-def benchmark_fields(scenario: "Scenario") -> np.ndarray:
-    """Benchmark outputs (fine grid, fine step, unfiltered), one row per seed."""
-    grid = benchmark_grid(scenario)
-    cfg = engine.SsfmConfig.from_step(
-        scenario.fiber.span_km, scenario.benchmark_dz_km, filter_fraction=1.0
-    )
+def _snapshots(
+    scenario: "Scenario",
+    fields: np.ndarray,
+    grid: SamplingGrid,
+    dz_km: float,
+    fraction: float,
+    spans: Sequence[float],
+) -> Iterator[np.ndarray]:
+    """Run ``fields`` with step ``dz_km`` and yield them at each of ``spans``."""
+    cfg = engine.SsfmConfig.from_step(scenario.fiber.span_km, dz_km, filter_fraction=fraction)
     h = engine.linear_multiplier(grid, scenario.fiber, cfg).values
+    stops = [engine.SsfmConfig.from_step(span, dz_km).n_seg for span in spans]
+    return engine.run_segments(fields, h, scenario.fiber.gamma * dz_km, stops)
+
+
+def benchmark_fields(scenario: "Scenario", spans: Sequence[float] | None = None) -> np.ndarray:
+    """Benchmark outputs (fine grid, fine step, unfiltered) at each of ``spans``.
+
+    ``spans`` are ascending distances in km, by default the scenario's span;
+    all are read off one run.  The result has shape (spans, seeds, samples).
+    """
+    spans = (scenario.fiber.span_km,) if spans is None else spans
+    grid = benchmark_grid(scenario)
     fields = _shaped_batch(scenario, grid)
-    return engine._run_segments(fields, h, scenario.fiber.gamma * cfg.dz_km, cfg.n_seg)
+    return np.array(list(_snapshots(scenario, fields, grid, scenario.benchmark_dz_km, 1.0, spans)))
 
 
 def fraction_nsds(
@@ -62,27 +79,29 @@ def fraction_nsds(
     fraction: float,
     launch_fields: np.ndarray,
     bench_fields: np.ndarray,
+    spans: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Per-seed NSD of one filtered candidate run against cached benchmarks.
+    """Per-span, per-seed NSD of one filtered candidate run against cached benchmarks.
 
     ``launch_fields`` are candidate-grid inputs from :func:`shaped_fields`
-    and ``bench_fields`` benchmark outputs from :func:`benchmark_fields`.
-    Seeds whose candidate or benchmark run diverged yield +inf.
+    and ``bench_fields`` benchmark outputs from :func:`benchmark_fields` at
+    the same ``spans``.  One candidate run reaches every span in turn and is
+    scored there; the result has shape (spans, seeds).  Seeds whose
+    candidate or benchmark run diverged yield +inf.
     """
+    spans = (scenario.fiber.span_km,) if spans is None else spans
     grid_c = candidate_grid(scenario)
     grid_b = benchmark_grid(scenario)
-    cfg = engine.SsfmConfig.from_step(
-        scenario.fiber.span_km, scenario.candidate_dz_km, filter_fraction=fraction
+    snapshots = _snapshots(
+        scenario, launch_fields, grid_c, scenario.candidate_dz_km, fraction, spans
     )
-    h = engine.linear_multiplier(grid_c, scenario.fiber, cfg).values
-    outputs = engine._run_segments(launch_fields, h, scenario.fiber.gamma * cfg.dz_km, cfg.n_seg)
-    span = scenario.fiber.span_km
-    values = np.empty(len(scenario.seeds))
-    for i, (out_row, bench_row) in enumerate(zip(outputs, bench_fields)):
-        if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
-            values[i] = math.inf
-            continue
-        reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
-        candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
-        values[i] = nsd(reference, candidate).nsd
+    values = np.empty((len(spans), len(scenario.seeds)))
+    for j, (span, outputs) in enumerate(zip(spans, snapshots)):
+        for i, (out_row, bench_row) in enumerate(zip(outputs, bench_fields[j])):
+            if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
+                values[j, i] = math.inf
+                continue
+            reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
+            candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
+            values[j, i] = nsd(reference, candidate).nsd
     return values

@@ -30,7 +30,7 @@ from ssfmlab import (
     sweep_bandwidth,
 )
 from ssfmlab.cli import main
-from ssfmlab.harness import FIG2_SPP, preset_jobs
+from ssfmlab.harness import FIG2_SPP, fig2_scenario, preset_jobs
 
 from conftest import tiny_scenario
 from reference_impl import analytic_dispersion, traditional_ssfm
@@ -116,8 +116,10 @@ def _preset_propagation_configs():
                 configs.add((spp, base.candidate_dz_km, span, power))
                 configs.add((base.benchmark_spp, base.benchmark_dz_km, span, power))
     for spp in FIG2_SPP:
-        configs.add((spp, 1.5, 600.0, 9.6))
-    configs.add((30, 0.1, 600.0, 9.6))
+        fig2 = fig2_scenario(spp, desk_scale=True)
+        span, power = fig2.fiber.span_km, fig2.launch.power_dbm
+        configs.add((spp, fig2.candidate_dz_km, span, power))
+        configs.add((fig2.benchmark_spp, fig2.benchmark_dz_km, span, power))
     return sorted(configs)
 
 
@@ -293,25 +295,25 @@ class TestFig2WaveformRegression:
         _, traces = fig2_result
         benchmark = traces["benchmark"]
         trace = traces["spp30_unfiltered"]
-        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=600.0)
-        launch = LaunchSpec(power_dbm=9.6)
-        grid = make_grid(64, 30, launch.symbol_time)
-        wave = shape_pulse(gen_symbols(0, 64), grid, launch)
+        scenario = fig2_scenario(30, desk_scale=True)
+        fiber, launch, dz_km = scenario.fiber, scenario.launch, scenario.candidate_dz_km
+        grid = make_grid(scenario.n_symbols, scenario.candidate_spp, launch.symbol_time)
+        wave = shape_pulse(gen_symbols(scenario.seeds[0], scenario.n_symbols), grid, launch)
 
         # provenance: no grid, seed or filter error rides along with the step
         assert trace.grid == benchmark.grid == grid, (trace.grid, benchmark.grid, grid)
-        n_seg = SsfmConfig.from_step(600.0, 1.5).n_seg
+        n_seg = SsfmConfig.from_step(fiber.span_km, dz_km).n_seg
         np.testing.assert_array_equal(
             trace.samples,
-            traditional_ssfm(wave.samples, grid, fiber, 1.5, n_seg),
-            err_msg=f"spp=30 trace is not the unfiltered seed-0 run at 1.5 km x {n_seg}",
+            traditional_ssfm(wave.samples, grid, fiber, dz_km, n_seg),
+            err_msg=f"spp=30 trace is not the unfiltered seed-0 run at {dz_km} km x {n_seg}",
         )
 
         # the gap is step error: NSD is the squared field error, so criterion
         # 4's slope bound of 0.8 asks each refinement to cut it by ratio^1.6
-        steps = (1.5, 0.75, 0.3)
+        steps = (dz_km, 0.75, 0.3)
         gaps = [nsd(benchmark, trace).nsd] + [
-            nsd(benchmark, propagate(wave, fiber, SsfmConfig.from_step(600.0, dz))).nsd
+            nsd(benchmark, propagate(wave, fiber, SsfmConfig.from_step(fiber.span_km, dz))).nsd
             for dz in steps[1:]
         ]
         for coarse, fine, gap_coarse, gap_fine in zip(steps, steps[1:], gaps, gaps[1:]):

@@ -1,5 +1,6 @@
 import pytest
 
+from ssfmlab import engine
 from ssfmlab.cli import main
 
 TINY = """
@@ -117,6 +118,25 @@ class TestSweep:
     def test_bad_values_exit_2(self, config):
         assert main(["sweep", "--axis", "power", "--values", "3,x", "--config", config()]) == 2
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("10,15", "error: 8 segments of 2.0 km do not cover a 15.0 km span"),
+            ("10,-5", "error: span_km must be positive, got -5.0"),
+            ("10,0", "error: span_km must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_distance_fails_before_any_propagation(
+        self, config, tmp_path, capsys, monkeypatch, values, message
+    ):
+        runs = []
+        monkeypatch.setattr(engine, "run_segments", lambda *args: runs.append(args) or iter(()))
+        code = main(["sweep", "--axis", "distance", "--values", values, "--config", config()])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == message
+        assert not (tmp_path / "sweep_distance.csv").exists()
+        assert runs == []
+
     def test_unwritable_output_exits_4(self, config, tmp_path):
         out = tmp_path / "no_dir" / "out.csv"
         code = main(["sweep", "--axis", "distance", "--values", "10", "--config", config(), "--out", str(out)])
@@ -155,6 +175,37 @@ class TestOptimizeBandwidth:
         path = config(fraction="optimize", extra="optimize_fractions = 0.9,1.0\n")
         assert main(["optimize-bandwidth", "--config", path]) == 0
         assert "best filter_fraction" in capsys.readouterr().out
+
+
+class TestMalformedGrids:
+    """Inputs that once escaped as tracebacks end with exit 2 and an error line."""
+
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [
+            ("optimize_fractions = 1.0:0.1:0.5\n", []),
+            ("optimize_fractions = 0.5:0.1:inf\n", []),
+            ("", ["--fractions", "0.5:0.1:inf"]),
+            ("", ["--fractions", "1.0:0.1:0.5"]),
+        ],
+        ids=["reversed-range", "infinite-range", "infinite-range-flag", "reversed-range-flag"],
+    )
+    def test_bad_fraction_range_exits_2(self, config, capsys, extra, argv):
+        path = config(fraction="optimize", extra=extra)
+        assert main(["optimize-bandwidth", "--config", path] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_sample_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.txt"
+        text = TINY.format(fraction="0.8").replace("candidate_spp = 6", "candidate_spp = inf")
+        path.write_text(text, encoding="utf-8")
+        assert main(["propagate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key 'candidate_spp'")
+
+
+    def test_infinite_dt_value_exits_2(self, config, capsys):
+        assert main(["sweep", "--axis", "dt", "--values", "6,inf", "--config", config()]) == 2
+        assert capsys.readouterr().err.startswith("error: dt axis values")
 
 
 class TestReproduce:

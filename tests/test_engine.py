@@ -22,6 +22,7 @@ from ssfmlab import (
     propagate,
     shape_pulse,
 )
+from ssfmlab.engine import run_segments
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 FIBER = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0)
@@ -222,6 +223,41 @@ class TestPropagate:
         a = propagate(small_waveform, FIBER, SsfmConfig.from_step(100.0, 5.0))
         b = propagate(small_waveform, FIBER, SsfmConfig.from_step(100.0, 5.0))
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+class TestRunSegments:
+    """Every CSV number comes from seed batches through ``run_segments``, so
+    the batch must not touch a single bit of any row."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.75])
+    @pytest.mark.parametrize(
+        "spp, dz_km", [(4, 0.1), (16, 0.1), (20, 0.1), (30, 0.1), (4, 1.5), (30, 1.5)]
+    )
+    def test_batched_rows_equal_single_runs_bitwise(self, spp, dz_km, fraction):
+        n_seg = 20
+        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=n_seg * dz_km)
+        launch = LaunchSpec(power_dbm=10.0)
+        grid = make_grid(64, spp, launch.symbol_time)
+        waves = [shape_pulse(gen_symbols(seed, 64), grid, launch) for seed in range(4)]
+        cfg = SsfmConfig.from_step(fiber.span_km, dz_km, filter_fraction=fraction)
+        h = linear_multiplier(grid, fiber, cfg).values
+        batch = np.array([wave.samples for wave in waves])
+        (out,) = run_segments(batch, h, fiber.gamma * dz_km, (n_seg,))
+        for seed, wave in enumerate(waves):
+            np.testing.assert_array_equal(
+                out[seed], propagate(wave, fiber, cfg).samples, err_msg=f"seed {seed}"
+            )
+
+    def test_snapshots_equal_shorter_runs_bitwise(self, small_waveform):
+        cfg = SsfmConfig.from_step(100.0, 5.0, filter_fraction=0.8)
+        h = linear_multiplier(small_waveform.grid, FIBER, cfg).values
+        stops = (3, 3, 8, 20)
+        snapshots = list(run_segments(small_waveform.samples, h, FIBER.gamma * 5.0, stops))
+        assert len(snapshots) == len(stops)
+        for stop, snapshot in zip(stops, snapshots):
+            fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=stop * 5.0)
+            short = SsfmConfig.from_step(fiber.span_km, 5.0, filter_fraction=0.8)
+            np.testing.assert_array_equal(snapshot, propagate(small_waveform, fiber, short).samples)
 
 
 class TestBenchmarkOutput:

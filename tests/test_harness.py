@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ssfmlab import (
     FiberParams,
@@ -17,7 +18,7 @@ from ssfmlab import (
     sweep,
     write_trace_csv,
 )
-from ssfmlab.harness import parse_fraction_spec, parse_seed_spec
+from ssfmlab.harness import _OPTIONAL_KEYS, _REQUIRED_KEYS, parse_fraction_spec, parse_seed_spec
 
 from conftest import replace, tiny_scenario
 
@@ -125,6 +126,47 @@ class TestParseScenario:
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(str(tmp_path / "absent.txt"))
+
+
+# Counts and steps stay small, so no example asks for a huge seed tuple or
+# fraction grid; the trailing comma keeps a seed list a list.
+_NUMBERS = st.one_of(
+    st.integers(-64, 64).map(str),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e999", "0", "-0.5", "0.1", "1.5", "abc"]),
+)
+_RANGES = st.builds(
+    "{}:{}:{}".format,
+    _NUMBERS,
+    st.sampled_from(["0.05", "0.1", "-0.1", "0.25", "0", "inf", "nan"]),
+    _NUMBERS,
+)
+_VALUES = {
+    "seeds": st.one_of(
+        st.integers(-64, 64).map(str),
+        st.lists(st.integers(-64, 64), max_size=5).map(lambda s: ",".join(map(str, s)) + ","),
+    ),
+    "filter_fraction": st.one_of(_NUMBERS, st.just("optimize")),
+    "optimize_fractions": st.one_of(
+        _RANGES, st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
+    ),
+}
+
+
+@st.composite
+def scenario_texts(draw):
+    keys = _REQUIRED_KEYS + tuple(draw(st.lists(st.sampled_from(_OPTIONAL_KEYS), unique=True)))
+    return "\n".join(f"{key} = {draw(_VALUES.get(key, _NUMBERS))}" for key in keys)
+
+
+@given(scenario_texts())
+def test_any_scenario_text_parses_or_raises_scenario_error(text):
+    """Numbers, infinities, NaN, negatives and reversed ranges in any key end
+    in a Scenario or a ScenarioError, never in another exception."""
+    try:
+        assert isinstance(parse_scenario(text), Scenario)
+    except ScenarioError:
+        pass
 
 
 class TestScenarioValidation:
@@ -236,6 +278,19 @@ class TestSweep:
     def test_deterministic(self):
         base = tiny_scenario(optimize_fractions=(0.7, 1.0))
         assert sweep("distance", base, (10.0, 20.0)) == sweep("distance", base, (10.0, 20.0))
+
+    @pytest.mark.parametrize("fraction", ["optimize", 0.8, 1.0])
+    def test_distance_points_read_off_one_run_equal_separate_sweeps(self, fraction):
+        """Unsorted and repeated spans, read off one run to the farthest,
+        give exactly the numbers of one-value sweeps."""
+        base = tiny_scenario(filter_fraction=fraction, optimize_fractions=(0.7, 0.9, 1.0))
+        shared = sweep("distance", base, (20.0, 10.0, 20.0))
+        alone = {v: sweep("distance", base, (v,)) for v in (10.0, 20.0)}
+        for i, value in enumerate((20.0, 10.0, 20.0)):
+            assert shared.nsd_without_lpf[i] == alone[value].nsd_without_lpf[0]
+            assert shared.nsd_with_lpf[i] == alone[value].nsd_with_lpf[0]
+            assert shared.chosen_fractions[i] == alone[value].chosen_fractions[0]
+        assert shared.axis_values == (20.0, 10.0, 20.0)
 
     def test_optimizing_point_agrees_with_run_scenario_exactly(self):
         """The unfiltered column of a sweep and a fraction-1 run_scenario are
