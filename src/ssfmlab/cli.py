@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 overflow left no finite result, 4 output I/O failure.  Unreadable scenario
-files count as invalid configuration.
+files, and scenarios too large to allocate, count as invalid configuration.
 """
 
 from __future__ import annotations
@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import operator
 import sys
 from typing import Sequence
 
 from . import harness
+from .bandwidth import default_fractions, sweep_bandwidth
 from .engine import NumericalOverflowError, SsfmConfig, propagate
 from .harness import OPTIMIZE, Scenario, ScenarioError
 from .metrics import nsd
@@ -112,16 +114,28 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The transmitter and channel two ``nsd`` run specs must share, by scenario
+# key; only the candidate grid, step and filter fraction may differ.
+_SHARED_BY_NSD = {
+    "span_km": "fiber.span_km",
+    "beta2_ps2_per_km": "fiber.beta2",
+    "gamma_per_w_km": "fiber.gamma",
+    "alpha_per_km": "fiber.alpha",
+    "power_dbm": "launch.power_dbm",
+    "rolloff": "launch.rolloff",
+    "baud_gbaud": "launch.baud_rate",
+    "n_symbols": "n_symbols",
+    "seeds": "seeds",
+}
+
+
 def cmd_nsd(args: argparse.Namespace) -> int:
     reference = _apply_overrides(harness.load_scenario(args.reference), args)
     candidate = _apply_overrides(harness.load_scenario(args.candidate), args)
-    for field in ("n_symbols",):
-        if getattr(reference, field) != getattr(candidate, field):
-            raise ScenarioError(f"run specs disagree on {field}")
-    if reference.launch.baud_rate != candidate.launch.baud_rate:
-        raise ScenarioError("run specs disagree on baud rate")
-    if reference.fiber.span_km != candidate.fiber.span_km:
-        raise ScenarioError("run specs disagree on span_km")
+    for key, attribute in _SHARED_BY_NSD.items():
+        value = operator.attrgetter(attribute)
+        if value(reference) != value(candidate):
+            raise ScenarioError(f"run specs disagree on {key}")
     _require_numeric_fraction(reference, "nsd")
     _require_numeric_fraction(candidate, "nsd")
     values = []
@@ -169,11 +183,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     elif scenario.optimize_fractions is not None:
         fractions = scenario.optimize_fractions
     else:
-        from .bandwidth import default_fractions
-
         fractions = default_fractions()
-    from .bandwidth import sweep_bandwidth
-
     result = sweep_bandwidth(scenario, fractions, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
@@ -181,14 +191,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         f"(unfiltered nsd = {harness._fmt(result.value_at(1.0))})"
     )
     if args.out:
-        table = harness.SweepResult(
-            axis_name="filter_fraction",
-            axis_values=result.fractions,
-            nsd_without_lpf=(result.value_at(1.0),) * len(result.fractions),
-            nsd_with_lpf=result.nsd_values,
-            chosen_fractions=result.fractions,
-        )
-        harness.emit_csv(table, args.out)
+        harness.emit_csv(harness.bandwidth_table(result, result.fractions), args.out)
         print(f"wrote {args.out}")
     return 3 if not any(math.isfinite(v) for v in result.nsd_values) else 0
 
@@ -247,6 +250,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import bandwidth, runner
 from .engine import BENCHMARK_DZ_KM, BENCHMARK_SPP, FiberParams, SsfmConfig, propagate
 from .metrics import NsdReport
@@ -31,6 +33,7 @@ __all__ = [
     "parse_scenario",
     "run_scenario",
     "sweep",
+    "bandwidth_table",
     "emit_csv",
     "write_trace_csv",
     "preset_jobs",
@@ -255,11 +258,17 @@ def _point_grid(scenario: Scenario) -> tuple[float, ...]:
 
 
 def _evaluate(
-    scenario: Scenario, spans: Sequence[float], threads: int
+    scenario: Scenario,
+    spans: Sequence[float],
+    threads: int,
+    bench_fields: np.ndarray | None = None,
 ) -> tuple[bandwidth.BandwidthSweep, ...]:
-    """One fraction-grid sweep per span, all read off runs to ``scenario``'s span."""
+    """One fraction-grid sweep per span, all read off runs to ``scenario``'s span.
+
+    ``bench_fields`` are the benchmark outputs at ``spans`` when already held.
+    """
     results = bandwidth.sweep_bandwidth(
-        scenario, _point_grid(scenario), threads=threads, spans=spans
+        scenario, _point_grid(scenario), threads=threads, bench_fields=bench_fields, spans=spans
     )
     for result in results:
         _warn_overflows(result.nsd_values, "fractions")
@@ -288,12 +297,10 @@ def run_scenario(
     (result,) = _evaluate(scenario, (scenario.fiber.span_km,), threads)
     without, with_lpf, _ = _columns(scenario, result)
     optimize = scenario.filter_fraction == OPTIMIZE
-    grid_b = runner.benchmark_grid(scenario)
     report = NsdReport(
         nsd=without if optimize else with_lpf,
-        reference_grid=grid_b,
+        reference_grid=runner.benchmark_grid(scenario),
         candidate_grid=runner.candidate_grid(scenario),
-        comparison_grid=grid_b,
     )
     return report, result if optimize else None
 
@@ -322,6 +329,18 @@ _AXIS_COLUMNS = {
 }
 
 
+def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -> SweepResult:
+    """NSD at each of the filter fractions ``values``, next to the fraction 1.0 NSD."""
+    fractions = tuple(float(v) for v in values)
+    return SweepResult(
+        axis_name=_AXIS_COLUMNS["bandwidth"],
+        axis_values=fractions,
+        nsd_without_lpf=(result.value_at(1.0),) * len(fractions),
+        nsd_with_lpf=tuple(result.value_at(f) for f in fractions),
+        chosen_fractions=fractions,
+    )
+
+
 def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) -> SweepResult:
     """Sweep one axis of a scenario and collect filtered/unfiltered NSD.
 
@@ -329,8 +348,10 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
     per symbol for ``dt`` and filter fractions for ``bandwidth``.  Segment
     counts are recomputed per point from the fixed step sizes, and every
     point is checked before anything is propagated.  Points that differ
-    only in span are read off one propagation to the farthest of them.  For
-    the bandwidth axis a single benchmark set is shared by all points.
+    only in span are read off one propagation to the farthest of them, and
+    points whose benchmark inputs agree (every ``dt`` point, say) share one
+    benchmark run.  For the bandwidth axis a single benchmark set is shared
+    by all points.
     """
     if axis not in AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
@@ -342,14 +363,7 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
         grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
         result = bandwidth.sweep_bandwidth(base, grid, threads=threads)
         _warn_overflows(result.nsd_values, "fractions")
-        reference = result.value_at(1.0)
-        return SweepResult(
-            axis_name=column,
-            axis_values=tuple(float(v) for v in values),
-            nsd_without_lpf=(reference,) * len(values),
-            nsd_with_lpf=tuple(result.value_at(float(v)) for v in values),
-            chosen_fractions=tuple(float(v) for v in values),
-        )
+        return bandwidth_table(result, values)
 
     points = [_substitute(base, axis, float(v)) for v in values]
     for point in points:  # every span must be whole steps before anything runs
@@ -360,10 +374,18 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
     groups: dict[Scenario, set[float]] = {}
     for point in points:
         groups.setdefault(_at_span(point, 1.0), set()).add(point.fiber.span_km)
+    # The benchmark depends on no candidate setting, so groups whose runs
+    # agree on the rest share one benchmark run.
+    benchmarks: dict[tuple, np.ndarray] = {}
     results: dict[Scenario, bandwidth.BandwidthSweep] = {}
     for shape, span_set in groups.items():
-        spans = sorted(span_set)
-        for span, result in zip(spans, _evaluate(_at_span(shape, spans[-1]), spans, threads)):
+        spans = tuple(sorted(span_set))
+        run = _at_span(shape, spans[-1])
+        key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
+               run.benchmark_dz_km, spans)
+        if key not in benchmarks:
+            benchmarks[key] = runner.benchmark_fields(run, spans)
+        for span, result in zip(spans, _evaluate(run, spans, threads, benchmarks[key])):
             results[_at_span(shape, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
 

@@ -18,12 +18,14 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class NsdReport:
-    """NSD value together with the grids that entered the comparison."""
+    """NSD value together with the grids that entered the comparison.
+
+    The comparison happens on ``reference_grid``.
+    """
 
     nsd: float
     reference_grid: SamplingGrid
     candidate_grid: SamplingGrid
-    comparison_grid: SamplingGrid
 
 
 def nsd(reference: Waveform, candidate: Waveform) -> NsdReport:
@@ -54,5 +56,4 @@ def nsd(reference: Waveform, candidate: Waveform) -> NsdReport:
         nsd=float(num / den),
         reference_grid=ref_grid,
         candidate_grid=cand_grid,
-        comparison_grid=ref_grid,
     )

@@ -2,8 +2,12 @@
 
 A scenario (defined in :mod:`ssfmlab.harness`) is consumed here purely
 through its parameter attributes.  All seeds of a scenario are propagated
-together as the rows of one 2-D field array, which keeps long sweeps cheap;
-rows evolve independently, so per-seed results do not depend on the batch.
+together as the rows of one 2-D field array, which keeps long sweeps cheap.
+Rows evolve independently, but a per-seed result matches a one-row run bit
+for bit only while the batch stays below 256 KiB: from that size on, numpy
+elides the temporary Kerr factor array and multiplies with the operands
+swapped, and its fused complex multiply is not bitwise commutative (seen
+with numpy 2.4 on x86-64 Linux).
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.

@@ -54,6 +54,19 @@ class TestPropagate:
         assert main(["propagate", "--config", config(), "--seeds", "4,3", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()  # first listed seed is propagated
 
+    def test_unallocatable_symbol_count_exits_2(self, tmp_path, capsys):
+        """numpy refuses a 1e12-symbol draw at once, so nothing is allocated."""
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            TINY.format(fraction="0.8").replace("n_symbols = 16", "n_symbols = 1e12"),
+            encoding="utf-8",
+        )
+        assert main(["propagate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: out of memory: ")
+        assert not (tmp_path / "propagate.csv").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["propagate", "--config", str(tmp_path / "nope.txt")]) == 2
 
@@ -88,6 +101,43 @@ class TestNsd:
             encoding="utf-8",
         )
         assert main(["nsd", reference, str(other)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("span_km", "40"),
+            ("beta2_ps2_per_km", "-20"),
+            ("gamma_per_w_km", "1.3"),
+            ("alpha_per_km", "0.2"),
+            ("power_dbm", "7"),
+            ("rolloff", "0.2"),
+            ("baud_gbaud", "20"),
+            ("n_symbols", "32"),
+            ("seeds", "1,2"),
+        ],
+    )
+    def test_rejects_specs_with_another_transmitter_or_channel(
+        self, config, tmp_path, capsys, key, value
+    ):
+        reference = config("ref.txt", fraction="1.0")
+        text = TINY.format(fraction="1.0")
+        lines = [line for line in text.splitlines() if not line.startswith(key)]
+        other = tmp_path / "other.txt"
+        other.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n", encoding="utf-8")
+        assert main(["nsd", reference, str(other)]) == 2
+        assert capsys.readouterr().err == f"error: run specs disagree on {key}\n"
+
+    def test_candidate_samples_step_and_fraction_may_differ(self, tmp_path):
+        reference = tmp_path / "ref.txt"
+        reference.write_text(TINY.format(fraction="1.0"), encoding="utf-8")
+        candidate = tmp_path / "cand.txt"
+        candidate.write_text(
+            TINY.format(fraction="0.7")
+            .replace("candidate_spp = 6", "candidate_spp = 4")
+            .replace("candidate_dz_km = 2", "candidate_dz_km = 4"),
+            encoding="utf-8",
+        )
+        assert main(["nsd", str(reference), str(candidate)]) == 0
 
     def test_overflow_everywhere_exits_3(self, tmp_path):
         spec = tmp_path / "gain.txt"
@@ -170,6 +220,16 @@ class TestOptimizeBandwidth:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "filter_fraction,nsd_without_lpf,nsd_with_lpf,chosen_fraction"
         assert len(lines) == 3
+
+    def test_table_equals_bandwidth_sweep_bytes(self, config, tmp_path):
+        """Both commands write the fraction table through one helper."""
+        path = config(fraction="optimize")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = "0.6,0.75,0.9,1.0"
+        optimize = ["optimize-bandwidth", "--config", path, "--fractions", grid]
+        assert main(optimize + ["--out", str(a)]) == 0
+        assert main(["sweep", "--axis", "bandwidth", "--values", grid, "--config", path, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_uses_grid_from_scenario_file(self, config, capsys):
         path = config(fraction="optimize", extra="optimize_fractions = 0.9,1.0\n")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ssfmlab import (
     FiberParams,
+    runner,
     Scenario,
     ScenarioError,
     emit_csv,
@@ -195,7 +196,7 @@ class TestRunScenario:
         report, extra = run_scenario(scenario)
         assert extra is None
         assert report.nsd > 0.0
-        assert report.comparison_grid.samples_per_symbol == scenario.benchmark_spp
+        assert report.reference_grid.samples_per_symbol == scenario.benchmark_spp
 
     def test_optimize_returns_sweep_and_unfiltered_report(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
@@ -291,6 +292,38 @@ class TestSweep:
             assert shared.nsd_with_lpf[i] == alone[value].nsd_with_lpf[0]
             assert shared.chosen_fractions[i] == alone[value].chosen_fractions[0]
         assert shared.axis_values == (20.0, 10.0, 20.0)
+
+    @staticmethod
+    def _count_benchmark_runs(monkeypatch):
+        calls = []
+        real = runner.benchmark_fields
+
+        def counting(scenario, *args, **kwargs):
+            calls.append(scenario)
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "benchmark_fields", counting)
+        return calls
+
+    def test_dt_points_share_one_benchmark_run(self, monkeypatch):
+        """The benchmark does not depend on the candidate grid, so a dt sweep
+        runs it once, and its rows equal those of one-value sweeps."""
+        base = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
+        values = (6.0, 4.0, 3.0)
+        alone = [sweep("dt", base, (v,)) for v in values]
+        calls = self._count_benchmark_runs(monkeypatch)
+        shared = sweep("dt", base, values, threads=2)
+        assert len(calls) == 1
+        for i, one in enumerate(alone):
+            assert shared.axis_values[i] == one.axis_values[0]
+            assert shared.nsd_without_lpf[i] == one.nsd_without_lpf[0]
+            assert shared.nsd_with_lpf[i] == one.nsd_with_lpf[0]
+            assert shared.chosen_fractions[i] == one.chosen_fractions[0]
+
+    def test_power_points_each_run_their_benchmark(self, monkeypatch):
+        calls = self._count_benchmark_runs(monkeypatch)
+        sweep("power", tiny_scenario(filter_fraction=0.8), (3.0, 9.0))
+        assert [c.launch.power_dbm for c in calls] == [3.0, 9.0]
 
     def test_optimizing_point_agrees_with_run_scenario_exactly(self):
         """The unfiltered column of a sweep and a fraction-1 run_scenario are
