@@ -16,7 +16,6 @@ from .engine import (
     SsfmConfig,
     benchmark_output,
     linear_multiplier,
-    nonlinear_step,
     propagate,
 )
 from .harness import (
@@ -78,7 +77,6 @@ __all__ = [
     "linear_multiplier",
     "load_scenario",
     "make_grid",
-    "nonlinear_step",
     "nsd",
     "parse_scenario",
     "preset_jobs",

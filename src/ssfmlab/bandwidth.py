@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,8 +74,10 @@ def sweep_bandwidth(
     1.0 so the unfiltered scheme is always a candidate.  Benchmark outputs
     are computed once per seed and reused across all fractions; callers that
     already hold them can pass ``launch_fields``/``bench_fields`` to skip the
-    recomputation.  A fraction whose propagation diverges is recorded as
-    NSD = +inf rather than failing the sweep.
+    recomputation.  The benchmark and the whole fraction grid each run as
+    row blocks on ``threads`` workers (0 = one per CPU).  A fraction whose
+    propagation diverges is recorded as NSD = +inf rather than failing the
+    sweep.
 
     With ``spans`` (ascending km, see :func:`runner.benchmark_fields`) each
     fraction is propagated once and scored at every span, and one sweep per
@@ -87,20 +87,11 @@ def sweep_bandwidth(
     if launch_fields is None:
         launch_fields = runner.shaped_fields(scenario)
     if bench_fields is None:
-        bench_fields = runner.benchmark_fields(scenario, spans)
-
-    def evaluate(fraction: float) -> tuple[float, ...]:
-        per_seed = runner.fraction_nsds(scenario, fraction, launch_fields, bench_fields, spans)
-        return tuple(float(np.mean(row)) for row in per_seed)
-
-    if threads == 1 or len(fractions) == 1:
-        per_fraction = [evaluate(f) for f in fractions]
-    else:
-        workers = threads if threads > 0 else min(len(fractions), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fraction = list(pool.map(evaluate, fractions))
+        bench_fields = runner.benchmark_fields(scenario, spans, threads)
+    per_seed = runner.fraction_nsds(scenario, fractions, launch_fields, bench_fields, spans, threads)
     sweeps = []
-    for values in zip(*per_fraction):
+    for at_span in per_seed:
+        values = tuple(float(np.mean(row)) for row in at_span)
         best_fraction, best_nsd = _select_best(fractions, values)
         sweeps.append(BandwidthSweep(fractions, values, best_fraction, best_nsd))
     return tuple(sweeps) if spans is not None else sweeps[0]

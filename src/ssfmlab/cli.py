@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="worker threads for bandwidth searches; 0 = auto (default)",
+        help="worker threads; every run's rows are split into <=256 KiB blocks, 0 = auto (default)",
     )
 
 
@@ -84,7 +84,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     import dataclasses
 
     if args.seeds:
-        scenario = dataclasses.replace(scenario, seeds=harness.parse_seed_spec(args.seeds))
+        scenario = dataclasses.replace(scenario, seeds=harness._seed_range(args.seeds))
     return scenario
 
 
@@ -197,7 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
+    seeds = harness._seed_range(args.seeds) if args.seeds else None
     prefix = args.out or args.preset
     written: list[str] = []
     all_values: list[float] = []
@@ -237,6 +237,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 0:
+        print(f"error: --threads must be 0 (auto) or positive, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ScenarioError as exc:

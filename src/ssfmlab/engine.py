@@ -24,17 +24,22 @@ __all__ = [
     "LinearMultiplier",
     "NumericalOverflowError",
     "linear_multiplier",
-    "nonlinear_step",
     "propagate",
     "run_segments",
     "benchmark_output",
     "BENCHMARK_SPP",
     "BENCHMARK_DZ_KM",
+    "BLOCK_BYTES",
 ]
 
 # Reference discretization used for accuracy baselines.
 BENCHMARK_SPP = 30
 BENCHMARK_DZ_KM = 0.1
+
+# numpy elides the temporary of a binary operation from this many bytes on,
+# which swapped the operands of the Kerr product in larger batches; batched
+# runs are also split into row blocks of at most this size.
+BLOCK_BYTES = 256 * 1024
 
 
 class NumericalOverflowError(ArithmeticError):
@@ -137,40 +142,51 @@ def linear_multiplier(grid: SamplingGrid, fiber: FiberParams, cfg: SsfmConfig) -
     return LinearMultiplier(values=values)
 
 
-def _kerr_factors(fields: np.ndarray, gamma_dz: float) -> np.ndarray:
-    # cos/sin into a preallocated complex array; cheaper than the complex exp.
-    phase = gamma_dz * (fields.real**2 + fields.imag**2)
-    factors = np.empty(fields.shape, dtype=np.complex128)
-    factors.real = np.cos(phase)
-    factors.imag = np.sin(phase)
-    return factors
-
-
-def nonlinear_step(wave: Waveform, gamma: float, dz_km: float) -> Waveform:
-    """Apply the Kerr phase rotation exp(j gamma |a|^2 dz) sample by sample."""
-    rotated = wave.samples * _kerr_factors(wave.samples, gamma * dz_km)
-    return Waveform(samples=rotated, grid=wave.grid, z_km=wave.z_km)
-
-
 def run_segments(
-    fields: np.ndarray, h: np.ndarray, gamma_dz: float, stops: Iterable[int]
+    fields: np.ndarray,
+    h: np.ndarray,
+    gamma_dz: float,
+    stops: Iterable[int],
+    swap: bool | None = None,
 ) -> Iterator[np.ndarray]:
     """Propagate a (..., n) field array and yield it at each segment count in ``stops``.
 
-    One segment is the Kerr rotation followed by the linear step ``h``.
-    ``stops`` must be ascending, and the run ends at the last of them, so a
-    shorter span is read off a longer run instead of being propagated again.
-    Rows evolve independently; non-finite values are allowed to propagate so
-    callers can decide per row how to handle divergence.
+    One segment is the Kerr rotation followed by the linear step ``h``, one
+    (n,) response for every row or one per row.  ``stops`` must be
+    ascending, and the run ends at the last of them, so a shorter span is
+    read off a longer run instead of being propagated again.  Each snapshot
+    is a copy that later segments leave alone.  Rows evolve independently;
+    non-finite values are allowed to propagate so callers can decide per row
+    how to handle divergence.
+
+    The fused complex multiply is not bitwise commutative, so the Kerr
+    product's operand order is pinned: ``factors * fields`` when ``swap``,
+    else ``fields * factors``.  By default it follows the byte size of
+    ``fields`` (swapped from :data:`BLOCK_BYTES` up), the order numpy's
+    temporary elision gave the product before it was pinned; a caller that
+    splits a batch passes the whole batch's order to every part.
     """
+    fields = np.array(fields, dtype=np.complex128)
+    if swap is None:
+        swap = fields.nbytes >= BLOCK_BYTES
+    factors = np.empty_like(fields)
+    phase = np.empty(fields.shape)
+    kerr = (factors, fields) if swap else (fields, factors)
     done = 0
     for stop in stops:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(done, stop):
-                fields = fields * _kerr_factors(fields, gamma_dz)
-                fields = np.fft.ifft(np.fft.fft(fields, axis=-1) * h, axis=-1)
+                np.square(fields.real, out=phase)
+                phase += np.square(fields.imag)
+                phase *= gamma_dz
+                factors.real = np.cos(phase)
+                factors.imag = np.sin(phase)
+                np.multiply(*kerr, out=fields)
+                np.fft.fft(fields, axis=-1, out=fields)
+                np.multiply(fields, h, out=fields)
+                np.fft.ifft(fields, axis=-1, out=fields)
         done = stop
-        yield fields
+        yield fields.copy()
 
 
 def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:

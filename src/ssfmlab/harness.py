@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,9 +54,25 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
+# Live copies of the benchmark batch: the shaped launch rows, the run's
+# buffers and the snapshot held for scoring.
+_LIVE_COPIES = 3
+
+
+def _physical_bytes() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: no bound
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One candidate run plus the benchmark it is compared against."""
+    """One candidate run plus the benchmark it is compared against.
+
+    ``seeds`` may be given as any sequence (a ``range`` stays lazy until the
+    memory bound below has passed) and is stored as a tuple.
+    """
 
     fiber: FiberParams
     launch: LaunchSpec
@@ -73,6 +90,15 @@ class Scenario:
             raise ScenarioError(f"n_symbols must be positive, got {self.n_symbols}")
         if not self.seeds:
             raise ScenarioError("seed list is empty")
+        need = len(self.seeds) * self.n_symbols * self.benchmark_spp * 16 * _LIVE_COPIES
+        limit = _physical_bytes()
+        if need > limit:
+            raise ScenarioError(
+                f"out of memory: {len(self.seeds)} seeds of {self.n_symbols} symbols at "
+                f"{self.benchmark_spp} samples per symbol need about {need / 2**30:.3g} GiB, "
+                f"more than the {limit / 2**30:.3g} GiB of physical memory"
+            )
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if len(set(self.seeds)) != len(self.seeds):
             raise ScenarioError("seed list contains duplicates")
         if self.candidate_spp > self.benchmark_spp:
@@ -127,15 +153,20 @@ _OPTIONAL_KEYS = (
 )
 
 
-def parse_seed_spec(text: str) -> tuple[int, ...]:
-    """A bare integer means that many seeds (0..n-1); a comma list is literal."""
+def _seed_range(text: str) -> Sequence[int]:
+    """Seeds of a spec, a bare count as a lazy ``range`` that :class:`Scenario` bounds."""
     text = text.strip()
     try:
         if "," in text:
             return tuple(int(part) for part in text.split(",") if part.strip())
-        return tuple(range(int(text)))
+        return range(int(text))
     except ValueError as exc:
         raise ScenarioError(f"cannot parse seed spec {text!r}") from exc
+
+
+def parse_seed_spec(text: str) -> tuple[int, ...]:
+    """A bare integer means that many seeds (0..n-1); a comma list is literal."""
+    return tuple(_seed_range(text))
 
 
 def parse_fraction_spec(text: str) -> tuple[float, ...]:
@@ -198,7 +229,7 @@ def parse_scenario(text: str) -> Scenario:
     fractions = None
     if "optimize_fractions" in entries:
         fractions = parse_fraction_spec(entries["optimize_fractions"])
-    seeds = parse_seed_spec(entries["seeds"]) if "seeds" in entries else tuple(range(20))
+    seeds = _seed_range(entries["seeds"]) if "seeds" in entries else range(20)
     try:
         fiber = FiberParams(
             beta2=number("beta2_ps2_per_km", -21.7),
@@ -384,7 +415,7 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
         key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
                run.benchmark_dz_km, spans)
         if key not in benchmarks:
-            benchmarks[key] = runner.benchmark_fields(run, spans)
+            benchmarks[key] = runner.benchmark_fields(run, spans, threads)
         for span, result in zip(spans, _evaluate(run, spans, threads, benchmarks[key])):
             results[_at_span(shape, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
@@ -448,7 +479,7 @@ def _preset_scenario(
     power_dbm: float,
     desk_scale: bool,
     desk_seeds: int,
-    seeds: tuple[int, ...] | None,
+    seeds: Sequence[int] | None,
     span_km: float = 1000.0,
     dz_km: float = 0.1,
 ) -> Scenario:
@@ -462,7 +493,7 @@ def _preset_scenario(
         candidate_dz_km=dz_km,
         filter_fraction=OPTIMIZE,
         n_symbols=n_symbols,
-        seeds=seeds or tuple(range(default_seeds)),
+        seeds=seeds or range(default_seeds),
         optimize_fractions=bandwidth.default_fractions(step),
     )
 
@@ -482,7 +513,7 @@ _PRESET_TABLE = {
 
 
 def preset_jobs(
-    name: str, desk_scale: bool = False, seeds: tuple[int, ...] | None = None
+    name: str, desk_scale: bool = False, seeds: Sequence[int] | None = None
 ) -> list[SweepJob]:
     """Sweep jobs for the named preset (``fig2`` has its own entry point)."""
     if name not in _PRESET_TABLE:
@@ -502,14 +533,14 @@ FIG2_SPP = (30, 10, 8, 6, 4)
 
 
 def fig2_scenario(
-    spp: int, desk_scale: bool = False, seeds: tuple[int, ...] | None = None
+    spp: int, desk_scale: bool = False, seeds: Sequence[int] | None = None
 ) -> Scenario:
     """The ``fig2`` study at ``spp`` samples per symbol: 9.6 dBm, 600 km, 1.5 km steps."""
     return _preset_scenario(spp, 9.6, desk_scale, 6, seeds, span_km=600.0, dz_km=1.5)
 
 
 def reproduce_fig2(
-    desk_scale: bool = False, seeds: tuple[int, ...] | None = None, threads: int = 1
+    desk_scale: bool = False, seeds: Sequence[int] | None = None, threads: int = 1
 ) -> tuple[SweepResult, dict[str, Waveform]]:
     """Time-discretization study of :func:`fig2_scenario` over :data:`FIG2_SPP`.
 
@@ -521,7 +552,7 @@ def reproduce_fig2(
     """
     first = fig2_scenario(FIG2_SPP[0], desk_scale, seeds)
     span_km = first.fiber.span_km
-    bench_fields = runner.benchmark_fields(first)
+    bench_fields = runner.benchmark_fields(first, threads=threads)
     bench_grid = runner.benchmark_grid(first)
     traces: dict[str, Waveform] = {
         "benchmark": Waveform(samples=bench_fields[0][0], grid=bench_grid, z_km=span_km)

@@ -2,12 +2,13 @@
 
 A scenario (defined in :mod:`ssfmlab.harness`) is consumed here purely
 through its parameter attributes.  All seeds of a scenario are propagated
-together as the rows of one 2-D field array, which keeps long sweeps cheap.
-Rows evolve independently, but a per-seed result matches a one-row run bit
-for bit only while the batch stays below 256 KiB: from that size on, numpy
-elides the temporary Kerr factor array and multiplies with the operands
-swapped, and its fused complex multiply is not bitwise commutative (seen
-with numpy 2.4 on x86-64 Linux).
+together as the rows of one 2-D field array, which keeps long sweeps cheap;
+a candidate stacks the seeds of every filter fraction of its grid.  Each
+run is split into contiguous row blocks of at most
+:data:`engine.BLOCK_BYTES`, at least one per worker thread.  Every block
+uses the Kerr multiply order of the logical batch (all seeds of one
+benchmark or one fraction), fixed before the split, so a row's bits do not
+depend on how the rows are blocked or on the thread count.
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.
@@ -16,7 +17,9 @@ NSD = +inf instead of aborting the run.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -51,61 +54,105 @@ def shaped_fields(scenario: "Scenario") -> np.ndarray:
     return _shaped_batch(scenario, candidate_grid(scenario))
 
 
-def _snapshots(
-    scenario: "Scenario",
-    fields: np.ndarray,
-    grid: SamplingGrid,
-    dz_km: float,
-    fraction: float,
-    spans: Sequence[float],
-) -> Iterator[np.ndarray]:
-    """Run ``fields`` with step ``dz_km`` and yield them at each of ``spans``."""
+def _run_blocks(task: Callable[[range], None], rows: int, row_bytes: int, threads: int) -> None:
+    """Call ``task`` on contiguous row ranges of at most :data:`engine.BLOCK_BYTES`.
+
+    There is at least one range per worker; ``threads`` workers (0 = one per
+    CPU) share one pool.
+    """
+    workers = threads if threads > 0 else os.cpu_count() or 1
+    per_block = max(1, engine.BLOCK_BYTES // row_bytes)
+    count = min(rows, max(workers, math.ceil(rows / per_block)))
+    bounds = [rows * i // count for i in range(count + 1)]
+    blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    if min(workers, count) == 1:
+        for block in blocks:
+            task(block)
+        return
+    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+        list(pool.map(task, blocks))  # re-raises a block's exception
+
+
+def _stops(dz_km: float, spans: Sequence[float]) -> list[int]:
+    return [engine.SsfmConfig.from_step(span, dz_km).n_seg for span in spans]
+
+
+def _response(scenario: "Scenario", grid: SamplingGrid, dz_km: float, fraction: float) -> np.ndarray:
     cfg = engine.SsfmConfig.from_step(scenario.fiber.span_km, dz_km, filter_fraction=fraction)
-    h = engine.linear_multiplier(grid, scenario.fiber, cfg).values
-    stops = [engine.SsfmConfig.from_step(span, dz_km).n_seg for span in spans]
-    return engine.run_segments(fields, h, scenario.fiber.gamma * dz_km, stops)
+    return engine.linear_multiplier(grid, scenario.fiber, cfg).values
 
 
-def benchmark_fields(scenario: "Scenario", spans: Sequence[float] | None = None) -> np.ndarray:
+def benchmark_fields(
+    scenario: "Scenario", spans: Sequence[float] | None = None, threads: int = 1
+) -> np.ndarray:
     """Benchmark outputs (fine grid, fine step, unfiltered) at each of ``spans``.
 
     ``spans`` are ascending distances in km, by default the scenario's span;
-    all are read off one run.  The result has shape (spans, seeds, samples).
+    all are read off one run, split into seed blocks on ``threads`` workers.
+    The result has shape (spans, seeds, samples).
     """
     spans = (scenario.fiber.span_km,) if spans is None else spans
     grid = benchmark_grid(scenario)
     fields = _shaped_batch(scenario, grid)
-    return np.array(list(_snapshots(scenario, fields, grid, scenario.benchmark_dz_km, 1.0, spans)))
+    h = _response(scenario, grid, scenario.benchmark_dz_km, 1.0)
+    gamma_dz = scenario.fiber.gamma * scenario.benchmark_dz_km
+    stops = _stops(scenario.benchmark_dz_km, spans)
+    swap = fields.nbytes >= engine.BLOCK_BYTES
+    out = np.empty((len(stops),) + fields.shape, dtype=np.complex128)
+
+    def run(block: range) -> None:
+        rows = slice(block.start, block.stop)
+        for j, snapshot in enumerate(engine.run_segments(fields[rows], h, gamma_dz, stops, swap)):
+            out[j, rows] = snapshot
+
+    _run_blocks(run, len(fields), fields[0].nbytes, threads)
+    return out
 
 
 def fraction_nsds(
     scenario: "Scenario",
-    fraction: float,
+    fractions: Sequence[float],
     launch_fields: np.ndarray,
     bench_fields: np.ndarray,
     spans: Sequence[float] | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Per-span, per-seed NSD of one filtered candidate run against cached benchmarks.
+    """Per-span, per-fraction, per-seed NSD of filtered candidate runs against cached benchmarks.
 
     ``launch_fields`` are candidate-grid inputs from :func:`shaped_fields`
     and ``bench_fields`` benchmark outputs from :func:`benchmark_fields` at
-    the same ``spans``.  One candidate run reaches every span in turn and is
-    scored there; the result has shape (spans, seeds).  Seeds whose
-    candidate or benchmark run diverged yield +inf.
+    the same ``spans``.  Every (fraction, seed) pair is one row of a single
+    run, fraction-major, split into row blocks on ``threads`` workers; each
+    block reaches every span in turn and is scored there.  The result has
+    shape (spans, fractions, seeds).  Rows whose candidate or benchmark run
+    diverged yield +inf.
     """
     spans = (scenario.fiber.span_km,) if spans is None else spans
     grid_c = candidate_grid(scenario)
     grid_b = benchmark_grid(scenario)
-    snapshots = _snapshots(
-        scenario, launch_fields, grid_c, scenario.candidate_dz_km, fraction, spans
-    )
-    values = np.empty((len(spans), len(scenario.seeds)))
-    for j, (span, outputs) in enumerate(zip(spans, snapshots)):
-        for i, (out_row, bench_row) in enumerate(zip(outputs, bench_fields[j])):
-            if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
-                values[j, i] = math.inf
-                continue
-            reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
-            candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
-            values[j, i] = nsd(reference, candidate).nsd
-    return values
+    dz_km = scenario.candidate_dz_km
+    responses = np.array([_response(scenario, grid_c, dz_km, f) for f in fractions])
+    gamma_dz = scenario.fiber.gamma * dz_km
+    stops = _stops(dz_km, spans)
+    # Each fraction's run of all seeds is the logical batch its bits follow.
+    swap = launch_fields.nbytes >= engine.BLOCK_BYTES
+    n_seeds = len(launch_fields)
+    values = np.empty((len(spans), len(fractions) * n_seeds))
+
+    def run(block: range) -> None:
+        which, seeds = np.divmod(np.arange(block.start, block.stop), n_seeds)
+        snapshots = engine.run_segments(
+            launch_fields[seeds], responses[which], gamma_dz, stops, swap
+        )
+        for j, (span, outputs) in enumerate(zip(spans, snapshots)):
+            for row, seed, out_row in zip(block, seeds, outputs):
+                bench_row = bench_fields[j, seed]
+                if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
+                    values[j, row] = math.inf
+                    continue
+                reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
+                candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
+                values[j, row] = nsd(reference, candidate).nsd
+
+    _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads)
+    return values.reshape(len(spans), len(fractions), n_seeds)

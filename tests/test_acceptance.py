@@ -234,11 +234,12 @@ def test_criterion_10_property_roundup():
     out = propagate(wave, fiber, SsfmConfig.from_step(40.0, 2.0))
     assert out.energy() == pytest.approx(wave.energy(), rel=1e-12)
 
-    # magnitude preservation of the nonlinear step (exact up to rounding)
-    from ssfmlab import nonlinear_step
+    # magnitude preservation of the nonlinear step (exact up to rounding): one
+    # segment with an all-pass h on one-sample rows, whose FFT pair is exact
+    from ssfmlab.engine import run_segments
 
-    rotated = nonlinear_step(wave, 1.27, 2.0)
-    np.testing.assert_allclose(np.abs(rotated.samples), np.abs(wave.samples), rtol=5e-15)
+    (rotated,) = run_segments(wave.samples[:, None], np.ones(1), 1.27 * 2.0, (1,))
+    np.testing.assert_allclose(np.abs(rotated[:, 0]), np.abs(wave.samples), rtol=5e-15)
 
     # resampling round trip
     fine = make_grid(16, 12, 100.0)

@@ -1,6 +1,8 @@
+import threading
+
 import pytest
 
-from ssfmlab import engine
+from ssfmlab import engine, runner
 from ssfmlab.cli import main
 
 TINY = """
@@ -266,6 +268,56 @@ class TestMalformedGrids:
     def test_infinite_dt_value_exits_2(self, config, capsys):
         assert main(["sweep", "--axis", "dt", "--values", "6,inf", "--config", config()]) == 2
         assert capsys.readouterr().err.startswith("error: dt axis values")
+
+
+class TestRefusedBeforeAnyWork:
+    """Requests the machine cannot serve end with exit 2 and one error line
+    before any batch is shaped, any segment runs or any thread starts."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(runner, "_shaped_batch", refuse)
+        monkeypatch.setattr(engine, "run_segments", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--config", "missing.txt"],
+            ["nsd", "missing.txt", "missing.txt"],
+            ["sweep", "--axis", "dt", "--values", "4", "--config", "missing.txt"],
+            ["optimize-bandwidth", "--config", "missing.txt"],
+            ["reproduce", "fig2", "--desk-scale"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_thread_count_exits_2(self, capsys, argv):
+        assert main(argv + ["--threads", "-5"]) == 2
+        assert capsys.readouterr().err == "error: --threads must be 0 (auto) or positive, got -5\n"
+
+    @pytest.mark.parametrize(
+        "n_symbols, argv",
+        [
+            ("1e12", ["sweep", "--axis", "dt", "--values", "4"]),
+            ("1e12", ["optimize-bandwidth"]),
+            ("1e10", ["sweep", "--axis", "power", "--values", "6", "--seeds", "1000"]),
+        ],
+        ids=["sweep", "optimize", "seed-override"],
+    )
+    def test_batch_beyond_physical_memory_exits_2(self, tmp_path, capsys, n_symbols, argv):
+        """Terabytes of estimated batch, refused from the estimate alone."""
+        path = tmp_path / "huge.txt"
+        text = TINY.format(fraction="optimize").replace("n_symbols = 16", f"n_symbols = {n_symbols}")
+        path.write_text(text, encoding="utf-8")
+        assert main(argv + ["--config", str(path), "--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: out of memory: ")
+        assert "GiB of physical memory" in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestReproduce:

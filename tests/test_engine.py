@@ -17,12 +17,11 @@ from ssfmlab import (
     gen_symbols,
     linear_multiplier,
     make_grid,
-    nonlinear_step,
     nsd,
     propagate,
     shape_pulse,
 )
-from ssfmlab.engine import run_segments
+from ssfmlab.engine import BLOCK_BYTES, run_segments
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 FIBER = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0)
@@ -108,20 +107,25 @@ class TestLinearMultiplier:
         np.testing.assert_allclose(np.abs(h), math.exp(-0.5), rtol=1e-14)
 
 
+def kerr_step(samples, gamma, dz_km):
+    """One segment of ``run_segments`` with an all-pass ``h`` on one-sample
+    rows: a length-1 FFT pair is exact, so only the Kerr rotation acts."""
+    (out,) = run_segments(samples[:, None], np.ones(1), gamma * dz_km, (1,))
+    return out[:, 0]
+
+
 class TestNonlinearStep:
     def test_zero_gamma_is_bitwise_identity(self, small_waveform):
-        out = nonlinear_step(small_waveform, 0.0, 2.5)
-        np.testing.assert_array_equal(out.samples, small_waveform.samples)
+        out = kerr_step(small_waveform.samples, 0.0, 2.5)
+        np.testing.assert_array_equal(out, small_waveform.samples)
 
     def test_magnitude_preserved_to_rounding(self, small_waveform):
-        out = nonlinear_step(small_waveform, 1.27, 5.0)
-        np.testing.assert_allclose(
-            np.abs(out.samples), np.abs(small_waveform.samples), rtol=5e-15
-        )
+        out = kerr_step(small_waveform.samples, 1.27, 5.0)
+        np.testing.assert_allclose(np.abs(out), np.abs(small_waveform.samples), rtol=5e-15)
 
     def test_phase_rotation_proportional_to_power(self, small_waveform):
-        out = nonlinear_step(small_waveform, 1.27, 5.0)
-        rotation = np.angle(out.samples * np.conj(small_waveform.samples))
+        out = kerr_step(small_waveform.samples, 1.27, 5.0)
+        rotation = np.angle(out * np.conj(small_waveform.samples))
         power = np.abs(small_waveform.samples) ** 2
         np.testing.assert_allclose(rotation, 1.27 * 5.0 * power, rtol=1e-10, atol=1e-13)
 
@@ -129,11 +133,8 @@ class TestNonlinearStep:
     def test_magnitude_preserved_for_any_step(self, dz):
         grid = make_grid(4, 8, 100.0)
         wave = shape_pulse(gen_symbols(3, 4), grid, LaunchSpec(power_dbm=8.0))
-        out = nonlinear_step(wave, 1.27, dz)
-        np.testing.assert_allclose(np.abs(out.samples), np.abs(wave.samples), rtol=5e-15)
-
-    def test_does_not_advance_distance(self, small_waveform):
-        assert nonlinear_step(small_waveform, 1.27, 5.0).z_km == small_waveform.z_km
+        out = kerr_step(wave.samples, 1.27, dz)
+        np.testing.assert_allclose(np.abs(out), np.abs(wave.samples), rtol=5e-15)
 
 
 class TestPropagate:
@@ -258,6 +259,69 @@ class TestRunSegments:
             fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=stop * 5.0)
             short = SsfmConfig.from_step(fiber.span_km, 5.0, filter_fraction=0.8)
             np.testing.assert_array_equal(snapshot, propagate(small_waveform, fiber, short).samples)
+
+
+    @staticmethod
+    def _unpinned_loop(fields, h, gamma_dz, n_seg):
+        """The segment loop as written before its Kerr operand order was
+        pinned: ``fields * factors``, with numpy's temporary elision free to
+        evaluate the product as ``factors * fields``."""
+
+        def kerr_factors(fields):
+            phase = gamma_dz * (fields.real**2 + fields.imag**2)
+            factors = np.empty(fields.shape, dtype=np.complex128)
+            factors.real = np.cos(phase)
+            factors.imag = np.sin(phase)
+            return factors
+
+        for _ in range(n_seg):
+            fields = fields * kerr_factors(fields)
+            fields = np.fft.ifft(np.fft.fft(fields, axis=-1) * h, axis=-1)
+        return fields
+
+    @staticmethod
+    def _batch(rows, fraction=0.75, n_seg=30, dz_km=1.5):
+        """``rows`` seeds of 64 symbols at 30 spp (1920 samples, 30 KiB a row)."""
+        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=n_seg * dz_km)
+        launch = LaunchSpec(power_dbm=10.0)
+        grid = make_grid(64, 30, launch.symbol_time)
+        batch = np.array([shape_pulse(gen_symbols(s, 64), grid, launch).samples for s in range(rows)])
+        cfg = SsfmConfig.from_step(fiber.span_km, dz_km, filter_fraction=fraction)
+        return batch, linear_multiplier(grid, fiber, cfg).values, fiber.gamma * dz_km, n_seg
+
+    @pytest.mark.parametrize("rows", [8, 9, 20])
+    def test_pinned_order_equals_unpinned_loop_bitwise(self, rows):
+        """8 rows stay below BLOCK_BYTES and 9 or 20 rows reach it, so both
+        operand orders are pinned to what the unpinned loop computed."""
+        batch, h, gamma_dz, n_seg = self._batch(rows)
+        assert (batch.nbytes >= BLOCK_BYTES) == (rows > 8)
+        (out,) = run_segments(batch, h, gamma_dz, (n_seg,))
+        np.testing.assert_array_equal(out, self._unpinned_loop(batch, h, gamma_dz, n_seg))
+
+    def test_rows_of_a_large_batch_equal_one_row_runs_in_its_order(self):
+        batch, h, gamma_dz, n_seg = self._batch(9)
+        swap = batch.nbytes >= BLOCK_BYTES
+        (out,) = run_segments(batch, h, gamma_dz, (n_seg,))
+        for seed, row in enumerate(batch):
+            (alone,) = run_segments(row, h, gamma_dz, (n_seg,), swap)
+            np.testing.assert_array_equal(out[seed], alone, err_msg=f"seed {seed}")
+
+    def test_per_row_responses_equal_a_shared_response(self):
+        batch, h, gamma_dz, n_seg = self._batch(9)
+        (shared,) = run_segments(batch, h, gamma_dz, (n_seg,))
+        (per_row,) = run_segments(batch, np.tile(h, (9, 1)), gamma_dz, (n_seg,))
+        np.testing.assert_array_equal(per_row, shared)
+
+    def test_held_snapshot_and_input_never_change(self):
+        batch, h, gamma_dz, _ = self._batch(2)
+        launch = batch.copy()
+        snapshots = run_segments(batch, h, gamma_dz, (2, 5, 9))
+        first = next(snapshots)
+        kept = first.copy()
+        rest = list(snapshots)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(batch, launch)
+        assert not any(np.shares_memory(first, later) for later in rest)
 
 
 class TestBenchmarkOutput:
