@@ -147,7 +147,7 @@ def run_segments(
     h: np.ndarray,
     gamma_dz: float,
     stops: Iterable[int],
-    swap: bool | None = None,
+    batch_bytes: int | None = None,
 ) -> Iterator[np.ndarray]:
     """Propagate a (..., n) field array and yield it at each segment count in ``stops``.
 
@@ -160,18 +160,19 @@ def run_segments(
     how to handle divergence.
 
     The fused complex multiply is not bitwise commutative, so the Kerr
-    product's operand order is pinned: ``factors * fields`` when ``swap``,
-    else ``fields * factors``.  By default it follows the byte size of
-    ``fields`` (swapped from :data:`BLOCK_BYTES` up), the order numpy's
-    temporary elision gave the product before it was pinned; a caller that
-    splits a batch passes the whole batch's order to every part.
+    product's operand order is pinned by ``batch_bytes``, the byte size of
+    the logical batch these rows belong to (by default ``fields`` itself):
+    ``factors * fields`` from :data:`BLOCK_BYTES` up, else
+    ``fields * factors``.  That is the order numpy's temporary elision gave
+    the product before it was pinned, and a caller that splits a batch
+    passes the whole batch's size with every part.
     """
     fields = np.array(fields, dtype=np.complex128)
-    if swap is None:
-        swap = fields.nbytes >= BLOCK_BYTES
+    if batch_bytes is None:
+        batch_bytes = fields.nbytes
     factors = np.empty_like(fields)
     phase = np.empty(fields.shape)
-    kerr = (factors, fields) if swap else (fields, factors)
+    kerr = (factors, fields) if batch_bytes >= BLOCK_BYTES else (fields, factors)
     done = 0
     for stop in stops:
         with np.errstate(over="ignore", invalid="ignore"):

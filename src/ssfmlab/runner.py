@@ -6,9 +6,10 @@ together as the rows of one 2-D field array, which keeps long sweeps cheap;
 a candidate stacks the seeds of every filter fraction of its grid.  Each
 run is split into contiguous row blocks of at most
 :data:`engine.BLOCK_BYTES`, at least one per worker thread.  Every block
-uses the Kerr multiply order of the logical batch (all seeds of one
-benchmark or one fraction), fixed before the split, so a row's bits do not
-depend on how the rows are blocked or on the thread count.
+passes the byte size of its logical batch (all seeds of one benchmark or
+one fraction) to :func:`engine.run_segments`, which pins the Kerr multiply
+order by it, so a row's bits do not depend on how the rows are blocked or
+on the thread count.
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.
@@ -97,12 +98,12 @@ def benchmark_fields(
     h = _response(scenario, grid, scenario.benchmark_dz_km, 1.0)
     gamma_dz = scenario.fiber.gamma * scenario.benchmark_dz_km
     stops = _stops(scenario.benchmark_dz_km, spans)
-    swap = fields.nbytes >= engine.BLOCK_BYTES
     out = np.empty((len(stops),) + fields.shape, dtype=np.complex128)
 
     def run(block: range) -> None:
         rows = slice(block.start, block.stop)
-        for j, snapshot in enumerate(engine.run_segments(fields[rows], h, gamma_dz, stops, swap)):
+        snapshots = engine.run_segments(fields[rows], h, gamma_dz, stops, fields.nbytes)
+        for j, snapshot in enumerate(snapshots):
             out[j, rows] = snapshot
 
     _run_blocks(run, len(fields), fields[0].nbytes, threads)
@@ -134,15 +135,14 @@ def fraction_nsds(
     responses = np.array([_response(scenario, grid_c, dz_km, f) for f in fractions])
     gamma_dz = scenario.fiber.gamma * dz_km
     stops = _stops(dz_km, spans)
-    # Each fraction's run of all seeds is the logical batch its bits follow.
-    swap = launch_fields.nbytes >= engine.BLOCK_BYTES
     n_seeds = len(launch_fields)
     values = np.empty((len(spans), len(fractions) * n_seeds))
 
     def run(block: range) -> None:
         which, seeds = np.divmod(np.arange(block.start, block.stop), n_seeds)
+        # Each fraction's run of all seeds is the logical batch its bits follow.
         snapshots = engine.run_segments(
-            launch_fields[seeds], responses[which], gamma_dz, stops, swap
+            launch_fields[seeds], responses[which], gamma_dz, stops, launch_fields.nbytes
         )
         for j, (span, outputs) in enumerate(zip(spans, snapshots)):
             for row, seed, out_row in zip(block, seeds, outputs):

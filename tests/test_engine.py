@@ -300,10 +300,9 @@ class TestRunSegments:
 
     def test_rows_of_a_large_batch_equal_one_row_runs_in_its_order(self):
         batch, h, gamma_dz, n_seg = self._batch(9)
-        swap = batch.nbytes >= BLOCK_BYTES
         (out,) = run_segments(batch, h, gamma_dz, (n_seg,))
         for seed, row in enumerate(batch):
-            (alone,) = run_segments(row, h, gamma_dz, (n_seg,), swap)
+            (alone,) = run_segments(row, h, gamma_dz, (n_seg,), batch.nbytes)
             np.testing.assert_array_equal(out[seed], alone, err_msg=f"seed {seed}")
 
     def test_per_row_responses_equal_a_shared_response(self):
