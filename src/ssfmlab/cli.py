@@ -84,7 +84,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     import dataclasses
 
     if args.seeds:
-        scenario = dataclasses.replace(scenario, seeds=harness._seed_range(args.seeds))
+        scenario = dataclasses.replace(scenario, seeds=harness.parse_seed_spec(args.seeds))
     return scenario
 
 
@@ -197,7 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    seeds = harness._seed_range(args.seeds) if args.seeds else None
+    seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
     prefix = args.out or args.preset
     written: list[str] = []
     all_values: list[float] = []

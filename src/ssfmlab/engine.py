@@ -159,6 +159,11 @@ def run_segments(
     non-finite values are allowed to propagate so callers can decide per row
     how to handle divergence.
 
+    The loop works in one field, one factors and one phase buffer, so a
+    segment allocates no complex-size temporary; three real ones remain,
+    ``np.square(fields.imag)``, ``np.cos(phase)`` and ``np.sin(phase)``,
+    which keeps ``cos``/``sin`` on the contiguous phase array.
+
     The fused complex multiply is not bitwise commutative, so the Kerr
     product's operand order is pinned by ``batch_bytes``, the byte size of
     the logical batch these rows belong to (by default ``fields`` itself):

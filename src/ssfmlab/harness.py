@@ -153,8 +153,9 @@ _OPTIONAL_KEYS = (
 )
 
 
-def _seed_range(text: str) -> Sequence[int]:
-    """Seeds of a spec, a bare count as a lazy ``range`` that :class:`Scenario` bounds."""
+def parse_seed_spec(text: str) -> Sequence[int]:
+    """A bare integer means that many seeds (0..n-1), kept as a lazy ``range``
+    that :class:`Scenario` bounds before it is expanded; a comma list is literal."""
     text = text.strip()
     try:
         if "," in text:
@@ -162,11 +163,6 @@ def _seed_range(text: str) -> Sequence[int]:
         return range(int(text))
     except ValueError as exc:
         raise ScenarioError(f"cannot parse seed spec {text!r}") from exc
-
-
-def parse_seed_spec(text: str) -> tuple[int, ...]:
-    """A bare integer means that many seeds (0..n-1); a comma list is literal."""
-    return tuple(_seed_range(text))
 
 
 def parse_fraction_spec(text: str) -> tuple[float, ...]:
@@ -229,7 +225,7 @@ def parse_scenario(text: str) -> Scenario:
     fractions = None
     if "optimize_fractions" in entries:
         fractions = parse_fraction_spec(entries["optimize_fractions"])
-    seeds = _seed_range(entries["seeds"]) if "seeds" in entries else range(20)
+    seeds = parse_seed_spec(entries["seeds"]) if "seeds" in entries else range(20)
     try:
         fiber = FiberParams(
             beta2=number("beta2_ps2_per_km", -21.7),

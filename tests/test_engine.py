@@ -262,10 +262,11 @@ class TestRunSegments:
 
 
     @staticmethod
-    def _unpinned_loop(fields, h, gamma_dz, n_seg):
-        """The segment loop as written before its Kerr operand order was
-        pinned: ``fields * factors``, with numpy's temporary elision free to
-        evaluate the product as ``factors * fields``."""
+    def _reference_loop(fields, h, gamma_dz, n_seg):
+        """The out-of-place segment loop with the Kerr operand order spelled
+        out: ``factors * fields`` for a batch of BLOCK_BYTES or more, else
+        ``fields * factors``."""
+        swapped = fields.nbytes >= BLOCK_BYTES
 
         def kerr_factors(fields):
             phase = gamma_dz * (fields.real**2 + fields.imag**2)
@@ -275,7 +276,8 @@ class TestRunSegments:
             return factors
 
         for _ in range(n_seg):
-            fields = fields * kerr_factors(fields)
+            factors = kerr_factors(fields)
+            fields = factors * fields if swapped else fields * factors
             fields = np.fft.ifft(np.fft.fft(fields, axis=-1) * h, axis=-1)
         return fields
 
@@ -290,13 +292,13 @@ class TestRunSegments:
         return batch, linear_multiplier(grid, fiber, cfg).values, fiber.gamma * dz_km, n_seg
 
     @pytest.mark.parametrize("rows", [8, 9, 20])
-    def test_pinned_order_equals_unpinned_loop_bitwise(self, rows):
+    def test_pinned_order_equals_reference_loop_bitwise(self, rows):
         """8 rows stay below BLOCK_BYTES and 9 or 20 rows reach it, so both
-        operand orders are pinned to what the unpinned loop computed."""
+        operand orders are checked."""
         batch, h, gamma_dz, n_seg = self._batch(rows)
         assert (batch.nbytes >= BLOCK_BYTES) == (rows > 8)
         (out,) = run_segments(batch, h, gamma_dz, (n_seg,))
-        np.testing.assert_array_equal(out, self._unpinned_loop(batch, h, gamma_dz, n_seg))
+        np.testing.assert_array_equal(out, self._reference_loop(batch, h, gamma_dz, n_seg))
 
     def test_rows_of_a_large_batch_equal_one_row_runs_in_its_order(self):
         batch, h, gamma_dz, n_seg = self._batch(9)

@@ -108,7 +108,7 @@ class TestParseScenario:
             parse_scenario("span_km = 100\npower_dbm = 3\ncandidate_spp = 8\n")
 
     def test_seed_specs(self):
-        assert parse_seed_spec("5") == (0, 1, 2, 3, 4)
+        assert tuple(parse_seed_spec("5")) == (0, 1, 2, 3, 4)
         assert parse_seed_spec("3, 5, 9") == (3, 5, 9)
         with pytest.raises(ScenarioError):
             parse_seed_spec("five")
