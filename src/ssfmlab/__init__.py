@@ -11,10 +11,8 @@ from .engine import (
     BENCHMARK_DZ_KM,
     BENCHMARK_SPP,
     FiberParams,
-    LinearMultiplier,
     NumericalOverflowError,
     SsfmConfig,
-    benchmark_output,
     linear_multiplier,
     propagate,
 )
@@ -29,11 +27,10 @@ from .harness import (
     parse_scenario,
     preset_jobs,
     reproduce_fig2,
-    run_scenario,
     sweep,
     write_trace_csv,
 )
-from .metrics import DegenerateInputError, NsdReport, nsd
+from .metrics import DegenerateInputError, nsd
 from .signals import (
     QAM16,
     LaunchSpec,
@@ -57,8 +54,6 @@ __all__ = [
     "DegenerateInputError",
     "FiberParams",
     "LaunchSpec",
-    "LinearMultiplier",
-    "NsdReport",
     "NumericalOverflowError",
     "PRESETS",
     "QAM16",
@@ -69,7 +64,6 @@ __all__ = [
     "SweepResult",
     "SymbolSequence",
     "Waveform",
-    "benchmark_output",
     "dbm_to_watts",
     "default_fractions",
     "emit_csv",
@@ -83,7 +77,6 @@ __all__ = [
     "propagate",
     "reproduce_fig2",
     "resample_bandlimited",
-    "run_scenario",
     "shape_pulse",
     "sweep",
     "sweep_bandwidth",

@@ -67,7 +67,7 @@ def sweep_bandwidth(
     launch_fields: np.ndarray | None = None,
     bench_fields: np.ndarray | None = None,
     spans: Sequence[float] | None = None,
-) -> BandwidthSweep | tuple[BandwidthSweep, ...]:
+) -> tuple[BandwidthSweep, ...]:
     """Evaluate a scenario's seed-averaged NSD over a filter-fraction grid.
 
     The fraction grid must be strictly ascending, lie in (0, 1] and contain
@@ -79,9 +79,9 @@ def sweep_bandwidth(
     propagation diverges is recorded as NSD = +inf rather than failing the
     sweep.
 
-    With ``spans`` (ascending km, see :func:`runner.benchmark_fields`) each
-    fraction is propagated once and scored at every span, and one sweep per
-    span is returned as a tuple.
+    One sweep per span is returned as a tuple.  With ``spans`` (ascending
+    km, see :func:`runner.benchmark_fields`) each fraction is propagated once
+    and scored at every span; without, the tuple holds the scenario's span.
     """
     fractions = _validate_fractions(fractions if fractions is not None else default_fractions())
     if launch_fields is None:
@@ -94,4 +94,4 @@ def sweep_bandwidth(
         values = tuple(float(np.mean(row)) for row in at_span)
         best_fraction, best_nsd = _select_best(fractions, values)
         sweeps.append(BandwidthSweep(fractions, values, best_fraction, best_nsd))
-    return tuple(sweeps) if spans is not None else sweeps[0]
+    return tuple(sweeps)

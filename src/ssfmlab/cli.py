@@ -143,7 +143,7 @@ def cmd_nsd(args: argparse.Namespace) -> int:
         try:
             ref_wave = _single_run(reference, seed)
             cand_wave = _single_run(candidate, seed)
-            values.append(nsd(ref_wave, cand_wave).nsd)
+            values.append(nsd(ref_wave, cand_wave))
         except NumericalOverflowError:
             values.append(math.inf)
     mean = sum(values) / len(values)
@@ -151,7 +151,7 @@ def cmd_nsd(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("nsd\n" + harness._fmt(mean) + "\n")
-    return 3 if not math.isfinite(mean) else 0
+    return _exit_status([mean])
 
 
 def _parse_values(text: str, axis: str) -> tuple[float, ...]:
@@ -161,9 +161,9 @@ def _parse_values(text: str, axis: str) -> tuple[float, ...]:
         raise ScenarioError(f"cannot parse --values for axis {axis}: {text!r}") from exc
 
 
-def _all_overflowed(result: harness.SweepResult) -> bool:
-    values = result.nsd_without_lpf + result.nsd_with_lpf
-    return bool(values) and not any(math.isfinite(v) for v in values)
+def _exit_status(values: Sequence[float]) -> int:
+    """3 when there are NSD values and overflow left none of them finite, else 0."""
+    return 3 if values and not any(math.isfinite(v) for v in values) else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -173,7 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out or f"sweep_{args.axis}.csv"
     harness.emit_csv(result, out)
     print(f"wrote {out}")
-    return 3 if _all_overflowed(result) else 0
+    return _exit_status(result.nsd_without_lpf + result.nsd_with_lpf)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -184,7 +184,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         fractions = scenario.optimize_fractions
     else:
         fractions = default_fractions()
-    result = sweep_bandwidth(scenario, fractions, threads=args.threads)
+    (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
         f"with nsd = {harness._fmt(result.best_nsd)} "
@@ -193,7 +193,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.out:
         harness.emit_csv(harness.bandwidth_table(result, result.fractions), args.out)
         print(f"wrote {args.out}")
-    return 3 if not any(math.isfinite(v) for v in result.nsd_values) else 0
+    return _exit_status(result.nsd_values)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -228,9 +228,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             all_values.extend(result.nsd_without_lpf + result.nsd_with_lpf)
     for path in written:
         print(f"wrote {path}")
-    if all_values and not any(math.isfinite(v) for v in all_values):
-        return 3
-    return 0
+    return _exit_status(all_values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

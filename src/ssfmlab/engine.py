@@ -16,17 +16,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .signals import SamplingGrid, SymbolSequence, LaunchSpec, Waveform, make_grid, shape_pulse
+from .signals import SamplingGrid, Waveform
 
 __all__ = [
     "FiberParams",
     "SsfmConfig",
-    "LinearMultiplier",
     "NumericalOverflowError",
     "linear_multiplier",
     "propagate",
     "run_segments",
-    "benchmark_output",
     "BENCHMARK_SPP",
     "BENCHMARK_DZ_KM",
     "BLOCK_BYTES",
@@ -98,10 +96,6 @@ class SsfmConfig:
         _check_span(cfg, span_km)
         return cfg
 
-    @classmethod
-    def from_segments(cls, span_km: float, n_seg: int, filter_fraction: float = 1.0) -> "SsfmConfig":
-        return cls(dz_km=span_km / n_seg, n_seg=n_seg, filter_fraction=filter_fraction)
-
 
 def _check_span(cfg: SsfmConfig, span_km: float) -> None:
     if not math.isclose(cfg.n_seg * cfg.dz_km, span_km, rel_tol=1e-9, abs_tol=0.0):
@@ -110,19 +104,12 @@ def _check_span(cfg: SsfmConfig, span_km: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LinearMultiplier:
-    """Per-bin frequency response of one filtered linear step."""
-
-    values: np.ndarray
-
-
 def _bin_indices(n_samples: int) -> np.ndarray:
     """Signed DFT bin numbers in FFT order: 0..n/2-1, -n/2..-1."""
     return np.concatenate([np.arange(0, n_samples // 2), np.arange(-(n_samples // 2), 0)])
 
 
-def linear_multiplier(grid: SamplingGrid, fiber: FiberParams, cfg: SsfmConfig) -> LinearMultiplier:
+def linear_multiplier(grid: SamplingGrid, fiber: FiberParams, cfg: SsfmConfig) -> np.ndarray:
     """Build the filtered linear-step multiplier for one segment.
 
     Passband bins (|f_k| up to ``filter_fraction`` times the Nyquist
@@ -139,7 +126,7 @@ def linear_multiplier(grid: SamplingGrid, fiber: FiberParams, cfg: SsfmConfig) -
     f_pass = grid.frequencies()[passband]
     phase = (2.0 * np.pi**2 * fiber.beta2 * cfg.dz_km) * (f_pass * f_pass)
     values[passband] = math.exp(-0.5 * fiber.alpha * cfg.dz_km) * np.exp(1j * phase)
-    return LinearMultiplier(values=values)
+    return values
 
 
 def run_segments(
@@ -205,27 +192,10 @@ def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:
     if wave.z_km != 0.0:
         raise ValueError(f"input waveform must be at z = 0, got z = {wave.z_km} km")
     _check_span(cfg, fiber.span_km)
-    h = linear_multiplier(wave.grid, fiber, cfg).values
+    h = linear_multiplier(wave.grid, fiber, cfg)
     snapshots = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, range(1, cfg.n_seg + 1))
     for seg, field in enumerate(snapshots):
         if not np.all(np.isfinite(field)):
             raise NumericalOverflowError(seg)
     return Waveform(samples=field, grid=wave.grid, z_km=fiber.span_km)
 
-
-def benchmark_output(
-    symbols: SymbolSequence,
-    launch: LaunchSpec,
-    fiber: FiberParams,
-    spp: int = BENCHMARK_SPP,
-    dz_km: float = BENCHMARK_DZ_KM,
-) -> Waveform:
-    """Fine-grid unfiltered reference run for a symbol sequence.
-
-    Shapes the sequence at ``spp`` samples per symbol and propagates with
-    step ``dz_km`` and no low-pass filtering.
-    """
-    grid = make_grid(symbols.n_symbols, spp, launch.symbol_time)
-    wave = shape_pulse(symbols, grid, launch)
-    cfg = SsfmConfig.from_step(fiber.span_km, dz_km, filter_fraction=1.0)
-    return propagate(wave, fiber, cfg)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import bandwidth, runner
 from .engine import BENCHMARK_DZ_KM, BENCHMARK_SPP, FiberParams, SsfmConfig, propagate
-from .metrics import NsdReport
-from .signals import LaunchSpec, Waveform
+from .signals import LaunchSpec, Waveform, gen_symbols, shape_pulse
 
 __all__ = [
     "AXES",
@@ -32,7 +31,6 @@ __all__ = [
     "SweepJob",
     "load_scenario",
     "parse_scenario",
-    "run_scenario",
     "sweep",
     "bandwidth_table",
     "emit_csv",
@@ -120,6 +118,13 @@ class Scenario:
             raise ScenarioError(
                 f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
             )
+        try:  # refuse malformed grids before any command propagates
+            if self.optimize_fractions is not None:
+                bandwidth._validate_fractions(self.optimize_fractions)
+            runner.candidate_grid(self)
+            runner.benchmark_grid(self)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -284,52 +289,12 @@ def _point_grid(scenario: Scenario) -> tuple[float, ...]:
     return bandwidth.default_fractions()
 
 
-def _evaluate(
-    scenario: Scenario,
-    spans: Sequence[float],
-    threads: int,
-    bench_fields: np.ndarray | None = None,
-) -> tuple[bandwidth.BandwidthSweep, ...]:
-    """One fraction-grid sweep per span, all read off runs to ``scenario``'s span.
-
-    ``bench_fields`` are the benchmark outputs at ``spans`` when already held.
-    """
-    results = bandwidth.sweep_bandwidth(
-        scenario, _point_grid(scenario), threads=threads, bench_fields=bench_fields, spans=spans
-    )
-    for result in results:
-        _warn_overflows(result.nsd_values, "fractions")
-    return results
-
-
 def _columns(scenario: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
     """(NSD without filter, NSD with the chosen filter, chosen fraction) of one point."""
     if scenario.filter_fraction == OPTIMIZE:
         return result.value_at(1.0), result.best_nsd, result.best_fraction
     fraction = float(scenario.filter_fraction)
     return result.value_at(1.0), result.value_at(fraction), fraction
-
-
-def run_scenario(
-    scenario: Scenario, threads: int = 1
-) -> tuple[NsdReport, bandwidth.BandwidthSweep | None]:
-    """Evaluate one scenario against its benchmark.
-
-    With a numeric ``filter_fraction`` the seed-averaged NSD at that fraction
-    is returned and the second element is None.  With ``"optimize"`` the
-    report carries the unfiltered (fraction 1.0) NSD and the full bandwidth
-    sweep is returned alongside it.  Seeds that overflow enter the average
-    as +inf, and overflowed fractions are counted in a logged warning.
-    """
-    (result,) = _evaluate(scenario, (scenario.fiber.span_km,), threads)
-    without, with_lpf, _ = _columns(scenario, result)
-    optimize = scenario.filter_fraction == OPTIMIZE
-    report = NsdReport(
-        nsd=without if optimize else with_lpf,
-        reference_grid=runner.benchmark_grid(scenario),
-        candidate_grid=runner.candidate_grid(scenario),
-    )
-    return report, result if optimize else None
 
 
 def _at_span(scenario: Scenario, span_km: float) -> Scenario:
@@ -388,11 +353,19 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
 
     if axis == "bandwidth":
         grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
-        result = bandwidth.sweep_bandwidth(base, grid, threads=threads)
+        (result,) = bandwidth.sweep_bandwidth(base, grid, threads=threads)
         _warn_overflows(result.nsd_values, "fractions")
         return bandwidth_table(result, values)
 
     points = [_substitute(base, axis, float(v)) for v in values]
+    axis_values = tuple(100.0 / float(v) if axis == "dt" else float(v) for v in values)
+    return _sweep_points(column, axis_values, points, threads)[0]
+
+
+def _sweep_points(
+    column: str, axis_values: tuple[float, ...], points: Sequence[Scenario], threads: int
+) -> tuple[SweepResult, dict[tuple, np.ndarray]]:
+    """Evaluate checked sweep points; also return the benchmark runs made, by input key."""
     for point in points:  # every span must be whole steps before anything runs
         for dz_km in (point.candidate_dz_km, point.benchmark_dz_km):
             SsfmConfig.from_step(point.fiber.span_km, dz_km)
@@ -412,12 +385,14 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
                run.benchmark_dz_km, spans)
         if key not in benchmarks:
             benchmarks[key] = runner.benchmark_fields(run, spans, threads)
-        for span, result in zip(spans, _evaluate(run, spans, threads, benchmarks[key])):
+        sweeps = bandwidth.sweep_bandwidth(
+            run, _point_grid(run), threads=threads, bench_fields=benchmarks[key], spans=spans
+        )
+        for span, result in zip(spans, sweeps):
+            _warn_overflows(result.nsd_values, "fractions")
             results[_at_span(shape, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
-
-    axis_values = tuple(100.0 / float(v) if axis == "dt" else float(v) for v in values)
-    return SweepResult(column, axis_values, without, with_lpf, chosen)
+    return SweepResult(column, axis_values, without, with_lpf, chosen), benchmarks
 
 
 # --------------------------------------------------------------------------
@@ -546,40 +521,17 @@ def reproduce_fig2(
     resolution but not at its step, so their gap to the benchmark is the
     1.5 km split error, the floor the coarser rows are measured against.
     """
-    first = fig2_scenario(FIG2_SPP[0], desk_scale, seeds)
-    span_km = first.fiber.span_km
-    bench_fields = runner.benchmark_fields(first, threads=threads)
-    bench_grid = runner.benchmark_grid(first)
-    traces: dict[str, Waveform] = {
-        "benchmark": Waveform(samples=bench_fields[0][0], grid=bench_grid, z_km=span_km)
-    }
-    without: list[float] = []
-    with_lpf: list[float] = []
-    chosen: list[float] = []
-    for spp in FIG2_SPP:
-        scenario = fig2_scenario(spp, desk_scale, seeds)
-        launch_fields = runner.shaped_fields(scenario)
-        result = bandwidth.sweep_bandwidth(
-            scenario,
-            scenario.optimize_fractions,
-            threads=threads,
-            launch_fields=launch_fields,
-            bench_fields=bench_fields,
-        )
-        _warn_overflows(result.nsd_values, "fractions")
-        without.append(result.value_at(1.0))
-        with_lpf.append(result.best_nsd)
-        chosen.append(result.best_fraction)
-        grid = runner.candidate_grid(scenario)
-        seed0 = Waveform(samples=launch_fields[0], grid=grid, z_km=0.0)
-        for suffix, fraction in (("unfiltered", 1.0), ("filtered", result.best_fraction)):
-            cfg = SsfmConfig.from_step(span_km, scenario.candidate_dz_km, filter_fraction=fraction)
-            traces[f"spp{spp}_{suffix}"] = propagate(seed0, scenario.fiber, cfg)
-    summary = SweepResult(
-        axis_name="samples_per_symbol",
-        axis_values=tuple(float(s) for s in FIG2_SPP),
-        nsd_without_lpf=tuple(without),
-        nsd_with_lpf=tuple(with_lpf),
-        chosen_fractions=tuple(chosen),
-    )
+    points = [fig2_scenario(spp, desk_scale, seeds) for spp in FIG2_SPP]
+    spp_values = tuple(float(spp) for spp in FIG2_SPP)
+    summary, benchmarks = _sweep_points("samples_per_symbol", spp_values, points, threads)
+    (bench_fields,) = benchmarks.values()
+    span_km = points[0].fiber.span_km
+    bench_grid = runner.benchmark_grid(points[0])
+    traces = {"benchmark": Waveform(samples=bench_fields[0, 0], grid=bench_grid, z_km=span_km)}
+    for point, chosen in zip(points, summary.chosen_fractions):
+        symbols = gen_symbols(point.seeds[0], point.n_symbols)
+        seed0 = shape_pulse(symbols, runner.candidate_grid(point), point.launch)
+        for suffix, fraction in (("unfiltered", 1.0), ("filtered", chosen)):
+            cfg = SsfmConfig.from_step(span_km, point.candidate_dz_km, filter_fraction=fraction)
+            traces[f"spp{point.candidate_spp}_{suffix}"] = propagate(seed0, point.fiber, cfg)
     return summary, traces

@@ -3,32 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SamplingGrid, Waveform, resample_bandlimited
+from .signals import Waveform, resample_bandlimited
 
-__all__ = ["NsdReport", "DegenerateInputError", "nsd"]
+__all__ = ["DegenerateInputError", "nsd"]
 
 
 class DegenerateInputError(ValueError):
     """Raised when the reference waveform carries no energy."""
 
 
-@dataclass(frozen=True)
-class NsdReport:
-    """NSD value together with the grids that entered the comparison.
-
-    The comparison happens on ``reference_grid``.
-    """
-
-    nsd: float
-    reference_grid: SamplingGrid
-    candidate_grid: SamplingGrid
-
-
-def nsd(reference: Waveform, candidate: Waveform) -> NsdReport:
+def nsd(reference: Waveform, candidate: Waveform) -> float:
     """Normalized square difference of ``candidate`` against ``reference``.
 
     The candidate is resampled onto the reference grid by trigonometric
@@ -52,8 +39,4 @@ def nsd(reference: Waveform, candidate: Waveform) -> NsdReport:
     den = np.sum(reference.samples.real**2 + reference.samples.imag**2)
     if den == 0.0:
         raise DegenerateInputError("reference waveform has zero energy")
-    return NsdReport(
-        nsd=float(num / den),
-        reference_grid=ref_grid,
-        candidate_grid=cand_grid,
-    )
+    return float(num / den)

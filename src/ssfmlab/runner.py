@@ -80,7 +80,7 @@ def _stops(dz_km: float, spans: Sequence[float]) -> list[int]:
 
 def _response(scenario: "Scenario", grid: SamplingGrid, dz_km: float, fraction: float) -> np.ndarray:
     cfg = engine.SsfmConfig.from_step(scenario.fiber.span_km, dz_km, filter_fraction=fraction)
-    return engine.linear_multiplier(grid, scenario.fiber, cfg).values
+    return engine.linear_multiplier(grid, scenario.fiber, cfg)
 
 
 def benchmark_fields(
@@ -152,7 +152,7 @@ def fraction_nsds(
                     continue
                 reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
                 candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
-                values[j, row] = nsd(reference, candidate).nsd
+                values[j, row] = nsd(reference, candidate)
 
     _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads)
     return values.reshape(len(spans), len(fractions), n_seeds)

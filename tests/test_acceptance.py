@@ -72,7 +72,7 @@ def test_criterion_01_dispersion_oracle():
     elapsed = time.perf_counter() - start
 
     expected = Waveform(analytic_dispersion(gaussian, grid, -21.7, 600.0), grid, z_km=600.0)
-    value = nsd(expected, out).nsd
+    value = nsd(expected, out)
     assert value < 1e-20
     assert elapsed < 1.0
     print(f"criterion 1: PASS  nsd={value:.3e} (<1e-20), runtime={elapsed:.3f}s (<1s)")
@@ -153,7 +153,7 @@ def test_criterion_04_first_order_convergence():
     reference = propagate(wave, fiber, SsfmConfig.from_step(100.0, 0.025))
     steps = (4.0, 2.0, 1.0, 0.5)
     errors = [
-        math.sqrt(nsd(reference, propagate(wave, fiber, SsfmConfig.from_step(100.0, dz))).nsd)
+        math.sqrt(nsd(reference, propagate(wave, fiber, SsfmConfig.from_step(100.0, dz))))
         for dz in steps
     ]
     elapsed = time.perf_counter() - start
@@ -248,15 +248,15 @@ def test_criterion_10_property_roundup():
 
     # NSD scale covariance
     other = shape_pulse(gen_symbols(1, 16), grid, launch)
-    base_value = nsd(wave, other).nsd
+    base_value = nsd(wave, other)
     scaled = nsd(
         Waveform(3.0j * wave.samples, grid), Waveform(3.0j * other.samples, grid)
-    ).nsd
+    )
     assert scaled == pytest.approx(base_value, rel=1e-12)
 
     # argmin containment: the chosen fraction is a grid point achieving the
     # minimum searched value
-    result = sweep_bandwidth(tiny_scenario(), fractions=default_fractions(0.1))
+    (result,) = sweep_bandwidth(tiny_scenario(), fractions=default_fractions(0.1))
     assert result.best_fraction in result.fractions
     assert result.best_nsd == min(result.nsd_values)
     assert result.value_at(result.best_fraction) == result.best_nsd
@@ -265,7 +265,7 @@ def test_criterion_10_property_roundup():
     from ssfmlab import linear_multiplier
 
     cfg = SsfmConfig(dz_km=1.0, n_seg=1, filter_fraction=0.7)
-    h = linear_multiplier(grid, fiber, cfg).values
+    h = linear_multiplier(grid, fiber, cfg)
     k = np.concatenate([np.arange(0, 64), np.arange(-64, 0)])
     assert np.all(h[np.abs(k) > 0.7 * 64] == 0.0 + 0.0j)
 
@@ -281,8 +281,8 @@ class TestFig2WaveformRegression:
         _, traces = fig2_result
         benchmark = traces["benchmark"]
         for spp in (8, 6):
-            unfiltered = nsd(benchmark, traces[f"spp{spp}_unfiltered"]).nsd
-            filtered = nsd(benchmark, traces[f"spp{spp}_filtered"]).nsd
+            unfiltered = nsd(benchmark, traces[f"spp{spp}_unfiltered"])
+            filtered = nsd(benchmark, traces[f"spp{spp}_filtered"])
             assert filtered < unfiltered, (spp, filtered, unfiltered)
         print("fig2 regression (filtered spp 8/6 beat unfiltered): PASS")
 
@@ -313,8 +313,8 @@ class TestFig2WaveformRegression:
         # the gap is step error: NSD is the squared field error, so criterion
         # 4's slope bound of 0.8 asks each refinement to cut it by ratio^1.6
         steps = (dz_km, 0.75, 0.3)
-        gaps = [nsd(benchmark, trace).nsd] + [
-            nsd(benchmark, propagate(wave, fiber, SsfmConfig.from_step(fiber.span_km, dz))).nsd
+        gaps = [nsd(benchmark, trace)] + [
+            nsd(benchmark, propagate(wave, fiber, SsfmConfig.from_step(fiber.span_km, dz)))
             for dz in steps[1:]
         ]
         for coarse, fine, gap_coarse, gap_fine in zip(steps, steps[1:], gaps, gaps[1:]):
@@ -328,7 +328,7 @@ class TestFig2WaveformRegression:
 
         # the 30-spp trace is the floor every coarser grid is measured against
         coarser = {
-            spp: nsd(benchmark, traces[f"spp{spp}_unfiltered"]).nsd for spp in FIG2_SPP[1:]
+            spp: nsd(benchmark, traces[f"spp{spp}_unfiltered"]) for spp in FIG2_SPP[1:]
         }
         assert all(gaps[0] < value for value in coarser.values()), (
             f"spp=30 NSD {gaps[0]:.3e} is not below every coarser unfiltered trace: "

@@ -45,7 +45,9 @@ class TestSelectBest:
 class TestSweepBandwidth:
     def test_result_shape_and_best_point(self):
         scenario = tiny_scenario()
-        result = sweep_bandwidth(scenario, fractions=(0.6, 0.8, 1.0))
+        sweeps = sweep_bandwidth(scenario, fractions=(0.6, 0.8, 1.0))
+        assert sweeps == sweep_bandwidth(scenario, (0.6, 0.8, 1.0), spans=(scenario.fiber.span_km,))
+        (result,) = sweeps
         assert result.fractions == (0.6, 0.8, 1.0)
         assert len(result.nsd_values) == 3
         assert all(v >= 0.0 for v in result.nsd_values)
@@ -63,8 +65,8 @@ class TestSweepBandwidth:
         """Each fraction is scored independently from cached inputs, so a
         sweep over a sub-grid returns exactly the values of the full grid."""
         scenario = tiny_scenario()
-        full = sweep_bandwidth(scenario, fractions=(0.5, 0.7, 0.9, 1.0))
-        subset = sweep_bandwidth(scenario, fractions=(0.7, 1.0))
+        (full,) = sweep_bandwidth(scenario, fractions=(0.5, 0.7, 0.9, 1.0))
+        (subset,) = sweep_bandwidth(scenario, fractions=(0.7, 1.0))
         assert subset.value_at(0.7) == full.value_at(0.7)
         assert subset.value_at(1.0) == full.value_at(1.0)
 
@@ -96,7 +98,7 @@ class TestSweepBandwidth:
             candidate_dz_km=10.0,
             benchmark_dz_km=10.0,
         )
-        result = sweep_bandwidth(scenario, fractions=(0.7, 1.0))
+        (result,) = sweep_bandwidth(scenario, fractions=(0.7, 1.0))
         assert all(math.isinf(v) for v in result.nsd_values)
 
     @pytest.mark.parametrize(
@@ -118,6 +120,6 @@ class TestSweepBandwidth:
             candidate_dz_km=1.0,
             benchmark_dz_km=0.5,
         )
-        result = sweep_bandwidth(scenario, fractions=default_fractions(0.05))
+        (result,) = sweep_bandwidth(scenario, fractions=default_fractions(0.05))
         assert result.best_fraction < 1.0
         assert result.best_nsd < result.value_at(1.0)

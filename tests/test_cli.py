@@ -319,6 +319,26 @@ class TestRefusedBeforeAnyWork:
         assert "GiB of physical memory" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra, n_symbols, values, message",
+        [
+            ("optimize_fractions = 0.5,0.9\n", 16, "16,8", "fraction grid must contain 1.0"),
+            ("", 65, "16,3", "n_samples must be even, got 195"),
+            ("", 16, "16,1", "samples_per_symbol must be at least 2, got 1"),
+        ],
+        ids=["grid-without-1.0", "odd-sample-count", "one-sample-per-symbol"],
+    )
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, extra, n_symbols, values, message):
+        """A grid that some point's run would reject is refused up front."""
+        path = tmp_path / "grid.txt"
+        text = TINY.format(fraction="optimize").replace("benchmark_spp = 12", "benchmark_spp = 30")
+        text = text.replace("n_symbols = 16", f"n_symbols = {n_symbols}") + extra
+        path.write_text(text, encoding="utf-8")
+        argv = ["sweep", "--axis", "dt", "--values", values, "--config", str(path)]
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestReproduce:
     def test_fig2_writes_summary_and_traces(self, tmp_path):

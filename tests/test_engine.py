@@ -11,17 +11,19 @@ from ssfmlab import (
     FiberParams,
     LaunchSpec,
     NumericalOverflowError,
+    Scenario,
     SsfmConfig,
     Waveform,
-    benchmark_output,
     gen_symbols,
     linear_multiplier,
     make_grid,
     nsd,
     propagate,
+    runner,
     shape_pulse,
 )
 from ssfmlab.engine import BLOCK_BYTES, run_segments
+from conftest import replace
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 FIBER = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0)
@@ -42,11 +44,6 @@ class TestConfigs:
     def test_from_step_rejects_non_dividing_step(self):
         with pytest.raises(ValueError):
             SsfmConfig.from_step(100.0, 0.3)
-
-    def test_from_segments(self):
-        cfg = SsfmConfig.from_segments(100.0, 8, filter_fraction=0.7)
-        assert cfg.dz_km == 12.5
-        assert cfg.filter_fraction == 0.7
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.01, math.nan])
     def test_rejects_bad_fraction(self, fraction):
@@ -69,14 +66,14 @@ class TestConfigs:
 class TestLinearMultiplier:
     def test_unfiltered_is_all_pass_unit_modulus(self, small_grid):
         cfg = SsfmConfig(dz_km=0.5, n_seg=1, filter_fraction=1.0)
-        h = linear_multiplier(small_grid, FIBER, cfg).values
+        h = linear_multiplier(small_grid, FIBER, cfg)
         assert h[0] == 1.0 + 0.0j
         np.testing.assert_allclose(np.abs(h), 1.0, rtol=1e-15)
         assert np.count_nonzero(h) == small_grid.n_samples
 
     def test_passband_phase_matches_dispersion_response(self, small_grid):
         cfg = SsfmConfig(dz_km=0.5, n_seg=1, filter_fraction=1.0)
-        h = linear_multiplier(small_grid, FIBER, cfg).values
+        h = linear_multiplier(small_grid, FIBER, cfg)
         f = small_grid.frequencies()
         expected = np.exp(2j * np.pi**2 * FIBER.beta2 * 0.5 * f * f)
         np.testing.assert_allclose(h, expected, rtol=1e-14, atol=1e-15)
@@ -85,7 +82,7 @@ class TestLinearMultiplier:
         """fraction 0.55 on 40 bins passes |k| <= 11 and zeroes the rest."""
         grid = make_grid(5, 8, 100.0)
         cfg = SsfmConfig(dz_km=1.0, n_seg=1, filter_fraction=0.55)
-        h = linear_multiplier(grid, FIBER, cfg).values
+        h = linear_multiplier(grid, FIBER, cfg)
         k = np.concatenate([np.arange(0, 20), np.arange(-20, 0)])
         cutoff = Fraction(55, 100) * 20  # exact arithmetic, no rounding
         expected_pass = np.array([abs(int(b)) <= cutoff for b in k])
@@ -96,14 +93,14 @@ class TestLinearMultiplier:
         # fraction 0.75 of 32 half-bins lands exactly on bin 24
         grid = make_grid(8, 8, 100.0)
         cfg = SsfmConfig(dz_km=1.0, n_seg=1, filter_fraction=0.75)
-        h = linear_multiplier(grid, FIBER, cfg).values
+        h = linear_multiplier(grid, FIBER, cfg)
         assert h[24] != 0 and h[64 - 24] != 0
         assert h[25] == 0 and h[64 - 25] == 0
 
     def test_attenuation_scales_modulus(self, small_grid):
         fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0, alpha=0.2)
         cfg = SsfmConfig(dz_km=5.0, n_seg=1, filter_fraction=1.0)
-        h = linear_multiplier(small_grid, fiber, cfg).values
+        h = linear_multiplier(small_grid, fiber, cfg)
         np.testing.assert_allclose(np.abs(h), math.exp(-0.5), rtol=1e-14)
 
 
@@ -147,7 +144,7 @@ class TestPropagate:
         expected = Waveform(
             analytic_dispersion(wave.samples, grid, -21.7, 100.0), grid, z_km=100.0
         )
-        assert nsd(expected, out).nsd < 1e-20
+        assert nsd(expected, out) < 1e-20
 
     def test_constant_envelope_accumulates_kerr_phase(self):
         """beta2 = 0 with a flat field leaves only the gamma P z rotation."""
@@ -241,7 +238,7 @@ class TestRunSegments:
         grid = make_grid(64, spp, launch.symbol_time)
         waves = [shape_pulse(gen_symbols(seed, 64), grid, launch) for seed in range(4)]
         cfg = SsfmConfig.from_step(fiber.span_km, dz_km, filter_fraction=fraction)
-        h = linear_multiplier(grid, fiber, cfg).values
+        h = linear_multiplier(grid, fiber, cfg)
         batch = np.array([wave.samples for wave in waves])
         (out,) = run_segments(batch, h, fiber.gamma * dz_km, (n_seg,))
         for seed, wave in enumerate(waves):
@@ -251,7 +248,7 @@ class TestRunSegments:
 
     def test_snapshots_equal_shorter_runs_bitwise(self, small_waveform):
         cfg = SsfmConfig.from_step(100.0, 5.0, filter_fraction=0.8)
-        h = linear_multiplier(small_waveform.grid, FIBER, cfg).values
+        h = linear_multiplier(small_waveform.grid, FIBER, cfg)
         stops = (3, 3, 8, 20)
         snapshots = list(run_segments(small_waveform.samples, h, FIBER.gamma * 5.0, stops))
         assert len(snapshots) == len(stops)
@@ -289,7 +286,7 @@ class TestRunSegments:
         grid = make_grid(64, 30, launch.symbol_time)
         batch = np.array([shape_pulse(gen_symbols(s, 64), grid, launch).samples for s in range(rows)])
         cfg = SsfmConfig.from_step(fiber.span_km, dz_km, filter_fraction=fraction)
-        return batch, linear_multiplier(grid, fiber, cfg).values, fiber.gamma * dz_km, n_seg
+        return batch, linear_multiplier(grid, fiber, cfg), fiber.gamma * dz_km, n_seg
 
     @pytest.mark.parametrize("rows", [8, 9, 20])
     def test_pinned_order_equals_reference_loop_bitwise(self, rows):
@@ -326,23 +323,38 @@ class TestRunSegments:
 
 
 class TestBenchmarkOutput:
+    """The benchmark every NSD is scored against, as ``runner.benchmark_fields`` runs it."""
+
+    @staticmethod
+    def _scenario(span_km, power_dbm, n_symbols, seeds):
+        return Scenario(
+            fiber=FiberParams(beta2=-21.7, gamma=1.27, span_km=span_km),
+            launch=LaunchSpec(power_dbm=power_dbm),
+            candidate_spp=8,
+            candidate_dz_km=1.0,
+            n_symbols=n_symbols,
+            seeds=seeds,
+        )
+
+    @staticmethod
+    def _first_row(scenario):
+        samples = runner.benchmark_fields(scenario)[0, 0]
+        return Waveform(samples, runner.benchmark_grid(scenario), scenario.fiber.span_km)
+
     def test_uses_reference_discretization(self):
-        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=20.0)
-        launch = LaunchSpec(power_dbm=6.0)
-        seq = gen_symbols(0, 16)
-        out = benchmark_output(seq, launch, fiber)
-        assert out.grid.samples_per_symbol == 30
-        assert out.z_km == 20.0
-        wave = shape_pulse(seq, make_grid(16, 30, 100.0), launch)
-        expected = propagate(wave, fiber, SsfmConfig.from_step(20.0, 0.1))
-        np.testing.assert_array_equal(out.samples, expected.samples)
+        scenario = self._scenario(20.0, 6.0, 16, seeds=(0, 1))
+        out = runner.benchmark_fields(scenario)
+        grid = make_grid(16, 30, 100.0)
+        assert runner.benchmark_grid(scenario) == grid
+        assert out.shape == (1, 2, grid.n_samples)
+        wave = shape_pulse(gen_symbols(0, 16), grid, scenario.launch)
+        expected = propagate(wave, scenario.fiber, SsfmConfig.from_step(20.0, 0.1))
+        np.testing.assert_array_equal(out[0, 0], expected.samples)
 
     def test_self_convergence_against_finer_discretization(self):
         """The reference discretization is converged: halving the step and
         adding samples moves the long-haul output by well under 1e-3."""
-        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=1000.0)
-        launch = LaunchSpec(power_dbm=10.0)
-        seq = gen_symbols(0, 64)
-        bench = benchmark_output(seq, launch, fiber)
-        finer = benchmark_output(seq, launch, fiber, spp=40, dz_km=0.05)
-        assert nsd(finer, bench).nsd < 1e-3
+        scenario = self._scenario(1000.0, 10.0, 64, seeds=(0,))
+        bench = self._first_row(scenario)
+        finer = self._first_row(replace(scenario, benchmark_spp=40, benchmark_dz_km=0.05))
+        assert nsd(finer, bench) < 1e-3

@@ -15,11 +15,18 @@ from ssfmlab import (
     parse_scenario,
     preset_jobs,
     reproduce_fig2,
-    run_scenario,
     sweep,
+    sweep_bandwidth,
     write_trace_csv,
 )
-from ssfmlab.harness import _OPTIONAL_KEYS, _REQUIRED_KEYS, parse_fraction_spec, parse_seed_spec
+from ssfmlab.harness import (
+    _OPTIONAL_KEYS,
+    _REQUIRED_KEYS,
+    FIG2_SPP,
+    fig2_scenario,
+    parse_fraction_spec,
+    parse_seed_spec,
+)
 
 from conftest import replace, tiny_scenario
 
@@ -183,35 +190,39 @@ class TestScenarioValidation:
 
 
 class TestRunScenario:
+    """One scenario evaluated as a one-point sweep at its own span."""
+
+    @staticmethod
+    def run(scenario, threads=1):
+        return sweep("distance", scenario, (scenario.fiber.span_km,), threads)
+
     def test_candidate_identical_to_benchmark_scores_zero(self):
         scenario = tiny_scenario(
             candidate_spp=12, candidate_dz_km=0.5, filter_fraction=1.0
         )
-        report, extra = run_scenario(scenario)
-        assert report.nsd < 1e-10
-        assert extra is None
+        result = self.run(scenario)
+        assert result.nsd_with_lpf[0] < 1e-10
+        assert result.chosen_fractions == (1.0,)
 
     def test_fixed_fraction_reports_mean_over_seeds(self):
         scenario = tiny_scenario(filter_fraction=0.8)
-        report, extra = run_scenario(scenario)
-        assert extra is None
-        assert report.nsd > 0.0
-        assert report.reference_grid.samples_per_symbol == scenario.benchmark_spp
+        result = self.run(scenario)
+        per_seed = [self.run(replace(scenario, seeds=(seed,))) for seed in scenario.seeds]
+        assert result.chosen_fractions == (0.8,)
+        assert result.nsd_with_lpf[0] > 0.0
+        assert result.nsd_with_lpf[0] == np.mean([r.nsd_with_lpf[0] for r in per_seed])
 
     def test_optimize_returns_sweep_and_unfiltered_report(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
-        report, result = run_scenario(scenario)
-        assert result is not None
-        assert result.fractions == (0.7, 0.9, 1.0)
-        assert report.nsd == result.value_at(1.0)
-        assert result.best_nsd <= min(result.nsd_values)
+        (search,) = sweep_bandwidth(scenario, (0.7, 0.9, 1.0))
+        result = self.run(scenario)
+        assert result.nsd_without_lpf[0] == search.value_at(1.0)
+        assert result.nsd_with_lpf[0] == search.best_nsd == min(search.nsd_values)
+        assert result.chosen_fractions[0] == search.best_fraction
 
     def test_thread_count_does_not_change_results(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
-        report_a, result_a = run_scenario(scenario, threads=1)
-        report_b, result_b = run_scenario(scenario, threads=2)
-        assert report_a.nsd == report_b.nsd
-        assert result_a == result_b
+        assert self.run(scenario, threads=1) == self.run(scenario, threads=2)
 
     def test_overflow_reported_as_inf_with_warning(self, caplog):
         scenario = tiny_scenario(
@@ -221,8 +232,8 @@ class TestRunScenario:
             filter_fraction=1.0,
         )
         with caplog.at_level(logging.WARNING, logger="ssfmlab.harness"):
-            report, _ = run_scenario(scenario)
-        assert math.isinf(report.nsd)
+            result = self.run(scenario)
+        assert math.isinf(result.nsd_with_lpf[0])
         assert any("overflowed" in record.message for record in caplog.records)
 
 
@@ -325,13 +336,13 @@ class TestSweep:
         sweep("power", tiny_scenario(filter_fraction=0.8), (3.0, 9.0))
         assert [c.launch.power_dbm for c in calls] == [3.0, 9.0]
 
-    def test_optimizing_point_agrees_with_run_scenario_exactly(self):
-        """The unfiltered column of a sweep and a fraction-1 run_scenario are
-        the same numbers, not merely close."""
+    def test_optimizing_point_agrees_with_pinned_point_exactly(self):
+        """The unfiltered column of an optimizing sweep and a sweep pinned at
+        fraction 1.0 are the same numbers, not merely close."""
         base = tiny_scenario(optimize_fractions=(0.7, 1.0))
         result = sweep("distance", base, (base.fiber.span_km,))
-        pinned, _ = run_scenario(replace(base, filter_fraction=1.0))
-        assert result.nsd_without_lpf[0] == pinned.nsd
+        pinned = sweep("distance", replace(base, filter_fraction=1.0), (base.fiber.span_km,))
+        assert result.nsd_without_lpf[0] == pinned.nsd_with_lpf[0]
 
 
 class TestCsvOutput:
@@ -438,9 +449,21 @@ class TestPresets:
                 assert job.base.fiber.alpha == 0.0
 
 
+FIG2_SEEDS = (0,)
+
+
 @pytest.fixture(scope="module")
-def fig2():
-    return reproduce_fig2(desk_scale=True, seeds=(0,))
+def fig2_run():
+    """``reproduce_fig2`` at desk scale, with the benchmark runs it made."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = TestSweep._count_benchmark_runs(patch)
+        result = reproduce_fig2(desk_scale=True, seeds=FIG2_SEEDS)
+    return result, calls
+
+
+@pytest.fixture(scope="module")
+def fig2(fig2_run):
+    return fig2_run[0]
 
 
 class TestReproduceFig2:
@@ -466,3 +489,19 @@ class TestReproduceFig2:
         # columns ordered spp 30, 10, 8, 6, 4
         without = summary.nsd_without_lpf
         assert without[1] < without[2] < without[3] < without[4]
+
+    def test_summary_is_the_dt_sweep_of_the_30_spp_scenario(self, fig2):
+        summary, _ = fig2
+        dt = sweep("dt", fig2_scenario(30, True, FIG2_SEEDS), FIG2_SPP)
+        assert summary.nsd_without_lpf == dt.nsd_without_lpf
+        assert summary.nsd_with_lpf == dt.nsd_with_lpf
+        assert summary.chosen_fractions == dt.chosen_fractions
+
+    def test_benchmark_trace_is_row_0_of_the_benchmark(self, fig2):
+        _, traces = fig2
+        fields = runner.benchmark_fields(fig2_scenario(30, True, FIG2_SEEDS))
+        assert np.array_equal(traces["benchmark"].samples, fields[0, 0])
+
+    def test_all_resolutions_share_one_benchmark_run(self, fig2_run):
+        _, calls = fig2_run
+        assert len(calls) == 1

@@ -32,7 +32,7 @@ class TestBenchmarkFields:
         # one unsplit run of the whole batch, in the order its size gives
         launch = runner._shaped_batch(scenario, grid)
         cfg = engine.SsfmConfig.from_step(8.0, scenario.benchmark_dz_km)
-        h = engine.linear_multiplier(grid, scenario.fiber, cfg).values
+        h = engine.linear_multiplier(grid, scenario.fiber, cfg)
         stops = [round(span / scenario.benchmark_dz_km) for span in spans or (8.0,)]
         whole = list(engine.run_segments(launch, h, scenario.fiber.gamma * cfg.dz_km, stops))
         assert np.array_equal(results[0], np.array(whole))
