@@ -70,8 +70,9 @@ def sweep_bandwidth(
 ) -> tuple[BandwidthSweep, ...]:
     """Evaluate a scenario's seed-averaged NSD over a filter-fraction grid.
 
-    The fraction grid must be strictly ascending, lie in (0, 1] and contain
-    1.0 so the unfiltered scheme is always a candidate.  Benchmark outputs
+    The fraction grid, by default the scenario's ``optimize_fractions``,
+    must be strictly ascending, lie in (0, 1] and contain 1.0 so the
+    unfiltered scheme is always a candidate.  Benchmark outputs
     are computed once per seed and reused across all fractions; callers that
     already hold them can pass ``launch_fields``/``bench_fields`` to skip the
     recomputation.  The benchmark and the whole fraction grid each run as
@@ -83,7 +84,7 @@ def sweep_bandwidth(
     km, see :func:`runner.benchmark_fields`) each fraction is propagated once
     and scored at every span; without, the tuple holds the scenario's span.
     """
-    fractions = _validate_fractions(fractions if fractions is not None else default_fractions())
+    fractions = _validate_fractions(scenario.optimize_fractions if fractions is None else fractions)
     if launch_fields is None:
         launch_fields = runner.shaped_fields(scenario)
     if bench_fields is None:

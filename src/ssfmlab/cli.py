@@ -15,33 +15,35 @@ import sys
 from typing import Sequence
 
 from . import harness
-from .bandwidth import default_fractions, sweep_bandwidth
-from .engine import NumericalOverflowError, SsfmConfig, propagate
+from .bandwidth import sweep_bandwidth
+from .engine import NumericalOverflowError
 from .harness import OPTIMIZE, Scenario, ScenarioError
 from .metrics import nsd
-from .runner import candidate_grid
-from .signals import Waveform, gen_symbols, shape_pulse
 
 __all__ = ["main", "entry"]
 
 
-def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, config: bool = True, threads: bool = True, desk_scale: bool = False
+) -> None:
     if config:
         parser.add_argument("--config", required=True, help="scenario file (key = value lines)")
     parser.add_argument("--seeds", help="seed count, or comma-separated seed list")
     parser.add_argument("--out", help="output path (or path prefix for multi-file commands)")
-    parser.add_argument(
-        "--desk-scale",
-        action="store_true",
-        help="shrink presets (fewer symbols, seeds and axis points) for quick runs",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads; every run's rows are split into <=256 KiB blocks, 0 = auto (default)",
-    )
+    if desk_scale:
+        parser.add_argument(
+            "--desk-scale",
+            action="store_true",
+            help="shrink presets (fewer symbols, seeds and axis points) for quick runs",
+        )
+    if threads:
+        parser.add_argument(
+            "--threads",
+            type=int,
+            default=0,
+            metavar="N",
+            help="worker threads; every run's rows are split into <=256 KiB blocks, 0 = auto (default)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,13 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("propagate", help="run one scenario seed and dump the output trace")
-    _add_common(p)
+    _add_common(p, threads=False)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("nsd", help="NSD between the outputs of two run specs")
     p.add_argument("reference", help="scenario file for the reference run")
     p.add_argument("candidate", help="scenario file for the candidate run")
-    _add_common(p, config=False)
+    _add_common(p, config=False, threads=False)
     p.set_defaults(func=cmd_nsd)
 
     p = sub.add_parser("sweep", help="sweep one axis of a scenario")
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a named preset experiment")
     p.add_argument("preset", choices=harness.PRESETS)
-    _add_common(p, config=False)
+    _add_common(p, config=False, desk_scale=True)
     p.set_defaults(func=cmd_reproduce)
 
     return parser
@@ -97,18 +99,11 @@ def _require_numeric_fraction(scenario: Scenario, command: str) -> float:
     return float(scenario.filter_fraction)
 
 
-def _single_run(scenario: Scenario, seed: int) -> Waveform:
-    fraction = _require_numeric_fraction(scenario, "this command")
-    grid = candidate_grid(scenario)
-    wave = shape_pulse(gen_symbols(seed, scenario.n_symbols), grid, scenario.launch)
-    cfg = SsfmConfig.from_step(scenario.fiber.span_km, scenario.candidate_dz_km, fraction)
-    return propagate(wave, scenario.fiber, cfg)
-
-
 def cmd_propagate(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
     out = args.out or "propagate.csv"
-    wave = _single_run(scenario, scenario.seeds[0])
+    fraction = _require_numeric_fraction(scenario, "propagate")
+    wave = harness.seed_run(scenario, scenario.seeds[0], fraction)
     harness.write_trace_csv(wave, out)
     print(f"wrote {out}")
     return 0
@@ -136,13 +131,13 @@ def cmd_nsd(args: argparse.Namespace) -> int:
         value = operator.attrgetter(attribute)
         if value(reference) != value(candidate):
             raise ScenarioError(f"run specs disagree on {key}")
-    _require_numeric_fraction(reference, "nsd")
-    _require_numeric_fraction(candidate, "nsd")
+    ref_fraction = _require_numeric_fraction(reference, "nsd")
+    cand_fraction = _require_numeric_fraction(candidate, "nsd")
     values = []
     for seed in reference.seeds:
         try:
-            ref_wave = _single_run(reference, seed)
-            cand_wave = _single_run(candidate, seed)
+            ref_wave = harness.seed_run(reference, seed, ref_fraction)
+            cand_wave = harness.seed_run(candidate, seed, cand_fraction)
             values.append(nsd(ref_wave, cand_wave))
         except NumericalOverflowError:
             values.append(math.inf)
@@ -178,12 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
-    if args.fractions:
-        fractions = harness.parse_fraction_spec(args.fractions)
-    elif scenario.optimize_fractions is not None:
-        fractions = scenario.optimize_fractions
-    else:
-        fractions = default_fractions()
+    fractions = harness.parse_fraction_spec(args.fractions) if args.fractions else None
     (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
@@ -235,14 +225,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
+    if getattr(args, "threads", 0) < 0:
         print(f"error: --threads must be 0 (auto) or positive, got {args.threads}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

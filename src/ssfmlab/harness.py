@@ -13,14 +13,14 @@ import dataclasses
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import bandwidth, runner
 from .engine import BENCHMARK_DZ_KM, BENCHMARK_SPP, FiberParams, SsfmConfig, propagate
-from .signals import LaunchSpec, Waveform, gen_symbols, shape_pulse
+from .signals import LaunchSpec, SamplingGrid, Waveform, gen_symbols, make_grid, shape_pulse
 
 __all__ = [
     "AXES",
@@ -31,6 +31,7 @@ __all__ = [
     "SweepJob",
     "load_scenario",
     "parse_scenario",
+    "seed_run",
     "sweep",
     "bandwidth_table",
     "emit_csv",
@@ -52,11 +53,6 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
-# Live copies of the benchmark batch: the shaped launch rows, the run's
-# buffers and the snapshot held for scoring.
-_LIVE_COPIES = 3
-
-
 def _physical_bytes() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -64,12 +60,27 @@ def _physical_bytes() -> float:
         return math.inf
 
 
+def _check_memory(scenario: Scenario, copies: int) -> None:
+    """Refuse a run holding ``copies`` benchmark batches (the launch rows, the
+    run's buffers, one snapshot per span) beyond physical memory."""
+    seeds, n_symbols, spp = len(scenario.seeds), scenario.n_symbols, scenario.benchmark_spp
+    need = seeds * n_symbols * spp * 16 * copies
+    limit = _physical_bytes()
+    if need > limit:
+        raise ScenarioError(
+            f"out of memory: {seeds} seeds of {n_symbols} symbols at {spp} samples per "
+            f"symbol need about {need / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One candidate run plus the benchmark it is compared against.
 
     ``seeds`` may be given as any sequence (a ``range`` stays lazy until the
-    memory bound below has passed) and is stored as a tuple.
+    memory bound below has passed) and is stored as a tuple.  The candidate
+    and benchmark sampling grids are derived once, on construction.
     """
 
     fiber: FiberParams
@@ -81,21 +92,16 @@ class Scenario:
     seeds: tuple[int, ...] = tuple(range(20))
     benchmark_spp: int = BENCHMARK_SPP
     benchmark_dz_km: float = BENCHMARK_DZ_KM
-    optimize_fractions: tuple[float, ...] | None = None
+    optimize_fractions: tuple[float, ...] = bandwidth.default_fractions()
+    candidate_grid: SamplingGrid = field(init=False, repr=False, compare=False)
+    benchmark_grid: SamplingGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_symbols < 1:
             raise ScenarioError(f"n_symbols must be positive, got {self.n_symbols}")
         if not self.seeds:
             raise ScenarioError("seed list is empty")
-        need = len(self.seeds) * self.n_symbols * self.benchmark_spp * 16 * _LIVE_COPIES
-        limit = _physical_bytes()
-        if need > limit:
-            raise ScenarioError(
-                f"out of memory: {len(self.seeds)} seeds of {self.n_symbols} symbols at "
-                f"{self.benchmark_spp} samples per symbol need about {need / 2**30:.3g} GiB, "
-                f"more than the {limit / 2**30:.3g} GiB of physical memory"
-            )
+        _check_memory(self, copies=3)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if len(set(self.seeds)) != len(self.seeds):
             raise ScenarioError("seed list contains duplicates")
@@ -119,10 +125,10 @@ class Scenario:
                 f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
             )
         try:  # refuse malformed grids before any command propagates
-            if self.optimize_fractions is not None:
-                bandwidth._validate_fractions(self.optimize_fractions)
-            runner.candidate_grid(self)
-            runner.benchmark_grid(self)
+            bandwidth._validate_fractions(self.optimize_fractions)
+            n, symbol_time = self.n_symbols, self.launch.symbol_time
+            object.__setattr__(self, "candidate_grid", make_grid(n, self.candidate_spp, symbol_time))
+            object.__setattr__(self, "benchmark_grid", make_grid(n, self.benchmark_spp, symbol_time))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
@@ -227,7 +233,7 @@ def parse_scenario(text: str) -> Scenario:
     if "filter_fraction" in entries:
         raw_fraction = entries["filter_fraction"]
         fraction = raw_fraction if raw_fraction == OPTIMIZE else number("filter_fraction")
-    fractions = None
+    fractions = Scenario.optimize_fractions  # the field's default grid
     if "optimize_fractions" in entries:
         fractions = parse_fraction_spec(entries["optimize_fractions"])
     seeds = parse_seed_spec(entries["seeds"]) if "seeds" in entries else range(20)
@@ -284,9 +290,14 @@ def _point_grid(scenario: Scenario) -> tuple[float, ...]:
     """The fractions one point evaluates: the optimize grid, or its pinned fraction and 1.0."""
     if scenario.filter_fraction != OPTIMIZE:
         return tuple(sorted({float(scenario.filter_fraction), 1.0}))
-    if scenario.optimize_fractions is not None:
-        return scenario.optimize_fractions
-    return bandwidth.default_fractions()
+    return scenario.optimize_fractions
+
+
+def seed_run(scenario: Scenario, seed: int, fraction: float) -> Waveform:
+    """One seed launched on the candidate grid and propagated over the span at ``fraction``."""
+    wave = shape_pulse(gen_symbols(seed, scenario.n_symbols), scenario.candidate_grid, scenario.launch)
+    cfg = SsfmConfig.from_step(scenario.fiber.span_km, scenario.candidate_dz_km, fraction)
+    return propagate(wave, scenario.fiber, cfg)
 
 
 def _columns(scenario: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
@@ -364,8 +375,8 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
 
 def _sweep_points(
     column: str, axis_values: tuple[float, ...], points: Sequence[Scenario], threads: int
-) -> tuple[SweepResult, dict[tuple, np.ndarray]]:
-    """Evaluate checked sweep points; also return the benchmark runs made, by input key."""
+) -> tuple[SweepResult, np.ndarray]:
+    """Evaluate checked sweep points; also return the last benchmark run."""
     for point in points:  # every span must be whole steps before anything runs
         for dz_km in (point.candidate_dz_km, point.benchmark_dz_km):
             SsfmConfig.from_step(point.fiber.span_km, dz_km)
@@ -374,25 +385,30 @@ def _sweep_points(
     groups: dict[Scenario, set[float]] = {}
     for point in points:
         groups.setdefault(_at_span(point, 1.0), set()).add(point.fiber.span_km)
-    # The benchmark depends on no candidate setting, so groups whose runs
-    # agree on the rest share one benchmark run.
-    benchmarks: dict[tuple, np.ndarray] = {}
+    for shape, span_set in groups.items():  # one snapshot per span, plus 2
+        _check_memory(shape, copies=len(span_set) + 2)
+    # The benchmark depends on no candidate setting, so consecutive groups
+    # whose runs agree on the rest share one benchmark run.  In one sweep
+    # either every group agrees (dt, fig2) or none does (power), so holding
+    # only the last benchmark loses no reuse.
+    key, bench_fields = None, None
     results: dict[Scenario, bandwidth.BandwidthSweep] = {}
     for shape, span_set in groups.items():
         spans = tuple(sorted(span_set))
         run = _at_span(shape, spans[-1])
-        key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
-               run.benchmark_dz_km, spans)
-        if key not in benchmarks:
-            benchmarks[key] = runner.benchmark_fields(run, spans, threads)
+        run_key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
+                   run.benchmark_dz_km, spans)
+        if run_key != key:
+            bench_fields = None  # drop the last benchmark before running the next
+            key, bench_fields = run_key, runner.benchmark_fields(run, spans, threads)
         sweeps = bandwidth.sweep_bandwidth(
-            run, _point_grid(run), threads=threads, bench_fields=benchmarks[key], spans=spans
+            run, _point_grid(run), threads=threads, bench_fields=bench_fields, spans=spans
         )
         for span, result in zip(spans, sweeps):
             _warn_overflows(result.nsd_values, "fractions")
             results[_at_span(shape, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
-    return SweepResult(column, axis_values, without, with_lpf, chosen), benchmarks
+    return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields
 
 
 # --------------------------------------------------------------------------
@@ -523,15 +539,11 @@ def reproduce_fig2(
     """
     points = [fig2_scenario(spp, desk_scale, seeds) for spp in FIG2_SPP]
     spp_values = tuple(float(spp) for spp in FIG2_SPP)
-    summary, benchmarks = _sweep_points("samples_per_symbol", spp_values, points, threads)
-    (bench_fields,) = benchmarks.values()
+    summary, bench_fields = _sweep_points("samples_per_symbol", spp_values, points, threads)
     span_km = points[0].fiber.span_km
-    bench_grid = runner.benchmark_grid(points[0])
+    bench_grid = points[0].benchmark_grid
     traces = {"benchmark": Waveform(samples=bench_fields[0, 0], grid=bench_grid, z_km=span_km)}
     for point, chosen in zip(points, summary.chosen_fractions):
-        symbols = gen_symbols(point.seeds[0], point.n_symbols)
-        seed0 = shape_pulse(symbols, runner.candidate_grid(point), point.launch)
         for suffix, fraction in (("unfiltered", 1.0), ("filtered", chosen)):
-            cfg = SsfmConfig.from_step(span_km, point.candidate_dz_km, filter_fraction=fraction)
-            traces[f"spp{point.candidate_spp}_{suffix}"] = propagate(seed0, point.fiber, cfg)
+            traces[f"spp{point.candidate_spp}_{suffix}"] = seed_run(point, point.seeds[0], fraction)
     return summary, traces

@@ -26,20 +26,12 @@ import numpy as np
 
 from . import engine
 from .metrics import nsd
-from .signals import SamplingGrid, Waveform, gen_symbols, make_grid, shape_pulse
+from .signals import SamplingGrid, Waveform, gen_symbols, shape_pulse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
-__all__ = ["candidate_grid", "benchmark_grid", "shaped_fields", "benchmark_fields", "fraction_nsds"]
-
-
-def candidate_grid(scenario: "Scenario") -> SamplingGrid:
-    return make_grid(scenario.n_symbols, scenario.candidate_spp, scenario.launch.symbol_time)
-
-
-def benchmark_grid(scenario: "Scenario") -> SamplingGrid:
-    return make_grid(scenario.n_symbols, scenario.benchmark_spp, scenario.launch.symbol_time)
+__all__ = ["shaped_fields", "benchmark_fields", "fraction_nsds"]
 
 
 def _shaped_batch(scenario: "Scenario", grid: SamplingGrid) -> np.ndarray:
@@ -52,25 +44,26 @@ def _shaped_batch(scenario: "Scenario", grid: SamplingGrid) -> np.ndarray:
 
 def shaped_fields(scenario: "Scenario") -> np.ndarray:
     """Candidate-grid launch fields, one row per seed."""
-    return _shaped_batch(scenario, candidate_grid(scenario))
+    return _shaped_batch(scenario, scenario.candidate_grid)
 
 
 def _run_blocks(task: Callable[[range], None], rows: int, row_bytes: int, threads: int) -> None:
     """Call ``task`` on contiguous row ranges of at most :data:`engine.BLOCK_BYTES`.
 
-    There is at least one range per worker; ``threads`` workers (0 = one per
-    CPU) share one pool.
+    There is at least one range per one of ``threads`` workers (0 = one per
+    CPU); the ranges share one pool of at most one thread per CPU.
     """
-    workers = threads if threads > 0 else os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = threads if threads > 0 else cpus
     per_block = max(1, engine.BLOCK_BYTES // row_bytes)
     count = min(rows, max(workers, math.ceil(rows / per_block)))
     bounds = [rows * i // count for i in range(count + 1)]
     blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    if min(workers, count) == 1:
+    if min(workers, count, cpus) == 1:
         for block in blocks:
             task(block)
         return
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, count, cpus)) as pool:
         list(pool.map(task, blocks))  # re-raises a block's exception
 
 
@@ -93,7 +86,7 @@ def benchmark_fields(
     The result has shape (spans, seeds, samples).
     """
     spans = (scenario.fiber.span_km,) if spans is None else spans
-    grid = benchmark_grid(scenario)
+    grid = scenario.benchmark_grid
     fields = _shaped_batch(scenario, grid)
     h = _response(scenario, grid, scenario.benchmark_dz_km, 1.0)
     gamma_dz = scenario.fiber.gamma * scenario.benchmark_dz_km
@@ -129,8 +122,8 @@ def fraction_nsds(
     diverged yield +inf.
     """
     spans = (scenario.fiber.span_km,) if spans is None else spans
-    grid_c = candidate_grid(scenario)
-    grid_b = benchmark_grid(scenario)
+    grid_c = scenario.candidate_grid
+    grid_b = scenario.benchmark_grid
     dz_km = scenario.candidate_dz_km
     responses = np.array([_response(scenario, grid_c, dz_km, f) for f in fractions])
     gamma_dz = scenario.fiber.gamma * dz_km

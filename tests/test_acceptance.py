@@ -164,6 +164,7 @@ def test_criterion_04_first_order_convergence():
     print(f"criterion 4: PASS  slope={slope:.3f} (in [0.8,1.5]), runtime={elapsed:.1f}s (<60s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_filtering_gain_over_distance(fig3a_result):
     """Optimized filtering cuts the NSD at least in half at 200/600/1000 km,
     with a bounded gain at the 1000 km point."""
@@ -179,6 +180,7 @@ def test_criterion_05_filtering_gain_over_distance(fig3a_result):
     print(f"criterion 5: PASS  nsd ratios {text} (all <=0.5; 1000km in [1/6,1/2.5])")
 
 
+@pytest.mark.slow
 def test_criterion_06_bandwidth_optimum_location(fig3d_results):
     summaries = []
     for label, result in fig3d_results.items():
@@ -190,6 +192,7 @@ def test_criterion_06_bandwidth_optimum_location(fig3d_results):
     print(f"criterion 6: PASS  {'; '.join(summaries)} (in [0.65,0.90]; nsd@0.55 > nsd@1.0)")
 
 
+@pytest.mark.slow
 def test_criterion_07_resolution_point_gain(fig3c_result):
     index = fig3c_result.axis_values.index(100.0 / 16.0)
     without = fig3c_result.nsd_without_lpf[index]
@@ -207,6 +210,7 @@ def test_criterion_08_aliasing_monotonicity(fig2_result):
     print(f"criterion 8: PASS  unfiltered nsd strictly increasing: {text}")
 
 
+@pytest.mark.slow
 def test_criterion_09_reproduce_is_byte_deterministic(tmp_path):
     paths = []
     for run in ("first", "second"):

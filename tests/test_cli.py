@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from ssfmlab import engine, runner
+from ssfmlab import engine, harness, runner
 from ssfmlab.cli import main
 
 TINY = """
@@ -16,6 +16,8 @@ n_symbols = 16
 seeds = 2
 filter_fraction = {fraction}
 """
+# Just above three benchmark batches of TINY (2 seeds x 16 symbols x 12 samples x 16 B).
+THREE_BATCHES = 3 * 2 * 16 * 12 * 16 + 1
 
 
 @pytest.fixture
@@ -189,6 +191,12 @@ class TestSweep:
         assert not (tmp_path / "sweep_distance.csv").exists()
         assert runs == []
 
+    def test_one_span_group_fits_three_batches(self, config, tmp_path, monkeypatch):
+        """The 3 batches a Scenario is bounded by are enough for a 1-span sweep."""
+        monkeypatch.setattr(harness, "_physical_bytes", lambda: THREE_BATCHES)
+        assert main(["sweep", "--axis", "distance", "--values", "20", "--config", config()]) == 0
+        assert len((tmp_path / "sweep_distance.csv").read_text(encoding="utf-8").splitlines()) == 2
+
     def test_unwritable_output_exits_4(self, config, tmp_path):
         out = tmp_path / "no_dir" / "out.csv"
         code = main(["sweep", "--axis", "distance", "--values", "10", "--config", config(), "--out", str(out)])
@@ -286,8 +294,6 @@ class TestRefusedBeforeAnyWork:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["propagate", "--config", "missing.txt"],
-            ["nsd", "missing.txt", "missing.txt"],
             ["sweep", "--axis", "dt", "--values", "4", "--config", "missing.txt"],
             ["optimize-bandwidth", "--config", "missing.txt"],
             ["reproduce", "fig2", "--desk-scale"],
@@ -297,6 +303,39 @@ class TestRefusedBeforeAnyWork:
     def test_negative_thread_count_exits_2(self, capsys, argv):
         assert main(argv + ["--threads", "-5"]) == 2
         assert capsys.readouterr().err == "error: --threads must be 0 (auto) or positive, got -5\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["propagate", "--config", "missing.txt", "--threads", "2"], "--threads"),
+            (["nsd", "missing.txt", "missing.txt", "--threads", "2"], "--threads"),
+            (["propagate", "--config", "missing.txt", "--desk-scale"], "--desk-scale"),
+            (["nsd", "missing.txt", "missing.txt", "--desk-scale"], "--desk-scale"),
+            (["sweep", "--axis", "dt", "--values", "4", "--config", "missing.txt",
+              "--desk-scale"], "--desk-scale"),
+            (["optimize-bandwidth", "--config", "missing.txt", "--desk-scale"], "--desk-scale"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, capsys, argv, flag):
+        """Each command offers only the flags it reads; argparse refuses the rest."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_distance_group_beyond_physical_memory_exits_2(
+        self, config, tmp_path, capsys, monkeypatch
+    ):
+        """A 2-span group holds a snapshot per span besides the launch rows and
+        the run's buffers: 4 batches, refused before anything is shaped."""
+        monkeypatch.setattr(harness, "_physical_bytes", lambda: THREE_BATCHES)
+        argv = ["sweep", "--axis", "distance", "--values", "10,20", "--config", config()]
+        assert main(argv + ["--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: out of memory: ")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "n_symbols, argv",

@@ -339,13 +339,13 @@ class TestBenchmarkOutput:
     @staticmethod
     def _first_row(scenario):
         samples = runner.benchmark_fields(scenario)[0, 0]
-        return Waveform(samples, runner.benchmark_grid(scenario), scenario.fiber.span_km)
+        return Waveform(samples, scenario.benchmark_grid, scenario.fiber.span_km)
 
     def test_uses_reference_discretization(self):
         scenario = self._scenario(20.0, 6.0, 16, seeds=(0, 1))
         out = runner.benchmark_fields(scenario)
         grid = make_grid(16, 30, 100.0)
-        assert runner.benchmark_grid(scenario) == grid
+        assert scenario.benchmark_grid == grid
         assert out.shape == (1, 2, grid.n_samples)
         wave = shape_pulse(gen_symbols(0, 16), grid, scenario.launch)
         expected = propagate(wave, scenario.fiber, SsfmConfig.from_step(20.0, 0.1))

@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ssfmlab import (
     FiberParams,
+    default_fractions,
     runner,
     Scenario,
     ScenarioError,
@@ -52,7 +54,7 @@ class TestParseScenario:
         assert s.seeds == tuple(range(20))
         assert s.benchmark_spp == 30
         assert s.benchmark_dz_km == 0.1
-        assert s.optimize_fractions is None
+        assert s.optimize_fractions == default_fractions()
 
     def test_full_file_with_comments(self):
         text = """
@@ -82,6 +84,18 @@ class TestParseScenario:
         assert s.seeds == (0, 1, 2, 3)
         assert s.filter_fraction == 0.8
         assert s.benchmark_spp == 24
+
+    def test_readme_example_states_the_defaults(self):
+        """Every optional key of the README's scenario example shows its
+        default, so the example parses like its required keys alone (plus
+        its non-default fraction grid)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        kept = _REQUIRED_KEYS + ("optimize_fractions",)
+        lines = [line for line in example.splitlines()
+                 if line.split("#", 1)[0].partition("=")[0].strip() in kept]
+        assert len(lines) == len(kept)
+        assert parse_scenario(example) == parse_scenario("\n".join(lines))
 
     def test_optimize_fraction_grid(self):
         s = parse_scenario(MINIMAL + "optimize_fractions = 0.5:0.25:1.0\n")
@@ -267,7 +281,7 @@ class TestSweep:
             sweep("dt", tiny_scenario(), (6.5,))
 
     def test_bandwidth_axis_shares_one_unfiltered_reference(self):
-        base = tiny_scenario(optimize_fractions=None)
+        base = tiny_scenario()
         result = sweep("bandwidth", base, (0.6, 0.8))
         assert result.axis_name == "filter_fraction"
         assert result.axis_values == (0.6, 0.8)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ class TestBenchmarkFields:
     @pytest.mark.parametrize("large", [False, True])
     def test_thread_count_changes_no_bit(self, large, spans):
         scenario = five_seeds(large)
-        grid = runner.benchmark_grid(scenario)
+        grid = scenario.benchmark_grid
         assert (5 * grid.n_samples * 16 >= engine.BLOCK_BYTES) == large
         results = [runner.benchmark_fields(scenario, spans, threads) for threads in (1, 2, 3)]
         n_spans = 1 if spans is None else len(spans)
@@ -53,3 +55,41 @@ class TestFractionNsds:
             for j in range(grid.shape[0]):
                 for seed in range(5):
                     assert grid[j, k, seed] == alone[j, 0, seed], (j, fraction, seed)
+
+
+class TestRunBlocks:
+    def test_pool_is_capped_at_one_thread_per_cpu(self, monkeypatch):
+        """``threads`` above the CPU count splits the rows finer but opens a
+        pool of one worker per CPU.  The recording pool runs every block
+        inline, so no thread is started."""
+        scenario = five_seeds(large=False)
+        fractions = (0.6, 0.8, 1.0)
+        launch = runner.shaped_fields(scenario)
+        bench = runner.benchmark_fields(scenario)
+        serial = runner.fraction_nsds(scenario, fractions, launch, bench)
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append({"max_workers": max_workers, "blocks": []})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, blocks):
+                pools[-1]["blocks"].extend(blocks)
+                return [fn(block) for block in pools[-1]["blocks"]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        capped = runner.fraction_nsds(scenario, fractions, launch, bench, threads=5000)
+        assert [pool["max_workers"] for pool in pools] == [2]
+        assert pools[0]["blocks"] == [range(row, row + 1) for row in range(15)]
+        assert np.array_equal(capped, serial)
