@@ -35,7 +35,6 @@ from .signals import (
     QAM16,
     LaunchSpec,
     SamplingGrid,
-    SymbolSequence,
     Waveform,
     dbm_to_watts,
     gen_symbols,
@@ -62,7 +61,6 @@ __all__ = [
     "ScenarioError",
     "SsfmConfig",
     "SweepResult",
-    "SymbolSequence",
     "Waveform",
     "dbm_to_watts",
     "default_fractions",

@@ -109,26 +109,19 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     return 0
 
 
-# The transmitter and channel two ``nsd`` run specs must share, by scenario
-# key; only the candidate grid, step and filter fraction may differ.
-_SHARED_BY_NSD = {
-    "span_km": "fiber.span_km",
-    "beta2_ps2_per_km": "fiber.beta2",
-    "gamma_per_w_km": "fiber.gamma",
-    "alpha_per_km": "fiber.alpha",
-    "power_dbm": "launch.power_dbm",
-    "rolloff": "launch.rolloff",
-    "baud_gbaud": "launch.baud_rate",
-    "n_symbols": "n_symbols",
-    "seeds": "seeds",
-}
+# The scenario keys of the transmitter and channel two ``nsd`` run specs must
+# share; only the candidate grid, step and filter fraction may differ.
+_SHARED_BY_NSD = (
+    "span_km", "beta2_ps2_per_km", "gamma_per_w_km", "alpha_per_km",
+    "power_dbm", "rolloff", "baud_gbaud", "n_symbols", "seeds",
+)
 
 
 def cmd_nsd(args: argparse.Namespace) -> int:
     reference = _apply_overrides(harness.load_scenario(args.reference), args)
     candidate = _apply_overrides(harness.load_scenario(args.candidate), args)
-    for key, attribute in _SHARED_BY_NSD.items():
-        value = operator.attrgetter(attribute)
+    for key in _SHARED_BY_NSD:
+        value = operator.attrgetter(harness._KEYS[key][0])
         if value(reference) != value(candidate):
             raise ScenarioError(f"run specs disagree on {key}")
     ref_fraction = _require_numeric_fraction(reference, "nsd")

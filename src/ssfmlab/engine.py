@@ -48,17 +48,18 @@ class NumericalOverflowError(ArithmeticError):
         super().__init__(f"non-finite field values after segment {segment}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FiberParams:
-    """Fiber span parameters.
+    """Fiber span parameters, given by keyword.
 
     alpha is the power attenuation coefficient in 1/km (0 models ideal
     distributed amplification), beta2 the group-velocity dispersion in
     ps^2/km, gamma the Kerr coefficient in 1/(W km) and span_km the length.
+    The defaults are the standard single-mode fiber every preset uses.
     """
 
-    beta2: float
-    gamma: float
+    beta2: float = -21.7
+    gamma: float = 1.27
     span_km: float
     alpha: float = 0.0
 
@@ -79,8 +80,7 @@ class SsfmConfig:
     filter_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dz_km) and self.dz_km > 0.0):
-            raise ValueError(f"dz_km must be positive, got {self.dz_km}")
+        _check_step(self.dz_km)
         if self.n_seg < 1:
             raise ValueError(f"n_seg must be positive, got {self.n_seg}")
         if not 0.0 < self.filter_fraction <= 1.0:
@@ -91,10 +91,18 @@ class SsfmConfig:
     @classmethod
     def from_step(cls, span_km: float, dz_km: float, filter_fraction: float = 1.0) -> "SsfmConfig":
         """Segment a span into steps of ``dz_km``; the step must divide the span."""
-        n_seg = round(span_km / dz_km)
-        cfg = cls(dz_km=dz_km, n_seg=max(n_seg, 1), filter_fraction=filter_fraction)
+        _check_step(dz_km)
+        n_seg = span_km / dz_km
+        if not math.isfinite(n_seg):
+            raise ValueError(f"steps of {dz_km} km are too short to count over a {span_km} km span")
+        cfg = cls(dz_km=dz_km, n_seg=max(round(n_seg), 1), filter_fraction=filter_fraction)
         _check_span(cfg, span_km)
         return cfg
+
+
+def _check_step(dz_km: float) -> None:
+    if not (math.isfinite(dz_km) and dz_km > 0.0):
+        raise ValueError(f"dz_km must be positive, got {dz_km}")
 
 
 def _check_span(cfg: SsfmConfig, span_km: float) -> None:

@@ -43,7 +43,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-AXES = ("distance", "power", "dt", "bandwidth")
+_AXIS_COLUMNS = {
+    "distance": "distance_km",
+    "power": "power_dbm",
+    "dt": "dt_over_ts_percent",
+    "bandwidth": "filter_fraction",
+}
+AXES = tuple(_AXIS_COLUMNS)
 PRESETS = ("fig2", "fig3a", "fig3b", "fig3c", "fig3d")
 
 OPTIMIZE = "optimize"
@@ -80,7 +86,8 @@ class Scenario:
 
     ``seeds`` may be given as any sequence (a ``range`` stays lazy until the
     memory bound below has passed) and is stored as a tuple.  The candidate
-    and benchmark sampling grids are derived once, on construction.
+    and benchmark sampling grids are derived once, on construction, and both
+    steps must cut the span into whole segments.
     """
 
     fiber: FiberParams
@@ -124,8 +131,10 @@ class Scenario:
             raise ScenarioError(
                 f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
             )
-        try:  # refuse malformed grids before any command propagates
+        try:  # refuse malformed grids and steps before any command propagates
             bandwidth._validate_fractions(self.optimize_fractions)
+            for dz_km in (self.candidate_dz_km, self.benchmark_dz_km):
+                SsfmConfig.from_step(self.fiber.span_km, dz_km)
             n, symbol_time = self.n_symbols, self.launch.symbol_time
             object.__setattr__(self, "candidate_grid", make_grid(n, self.candidate_spp, symbol_time))
             object.__setattr__(self, "benchmark_grid", make_grid(n, self.benchmark_spp, symbol_time))
@@ -146,22 +155,6 @@ class SweepResult:
 
 # --------------------------------------------------------------------------
 # scenario files
-
-
-_REQUIRED_KEYS = ("span_km", "power_dbm", "candidate_spp", "candidate_dz_km")
-_OPTIONAL_KEYS = (
-    "beta2_ps2_per_km",
-    "gamma_per_w_km",
-    "alpha_per_km",
-    "rolloff",
-    "baud_gbaud",
-    "n_symbols",
-    "seeds",
-    "filter_fraction",
-    "benchmark_spp",
-    "benchmark_dz_km",
-    "optimize_fractions",
-)
 
 
 def parse_seed_spec(text: str) -> Sequence[int]:
@@ -194,10 +187,47 @@ def parse_fraction_spec(text: str) -> tuple[float, ...]:
     return grid
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    value = _number(text)
+    if not math.isfinite(value) or value != int(value):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
+# Each scenario-file key, the Scenario attribute it sets and the parser of its
+# value.  The first four keys are required; an attribute whose key a file
+# leaves out keeps its dataclass default.
+_KEYS = {
+    "span_km": ("fiber.span_km", _number),
+    "power_dbm": ("launch.power_dbm", _number),
+    "candidate_spp": ("candidate_spp", _integer),
+    "candidate_dz_km": ("candidate_dz_km", _number),
+    "beta2_ps2_per_km": ("fiber.beta2", _number),
+    "gamma_per_w_km": ("fiber.gamma", _number),
+    "alpha_per_km": ("fiber.alpha", _number),
+    "rolloff": ("launch.rolloff", _number),
+    "baud_gbaud": ("launch.baud_rate", lambda text: _number(text) * 1e9),
+    "n_symbols": ("n_symbols", _integer),
+    "seeds": ("seeds", parse_seed_spec),
+    "filter_fraction": ("filter_fraction", lambda text: text if text == OPTIMIZE else _number(text)),
+    "benchmark_spp": ("benchmark_spp", _integer),
+    "benchmark_dz_km": ("benchmark_dz_km", _number),
+    "optimize_fractions": ("optimize_fractions", parse_fraction_spec),
+}
+_REQUIRED_KEYS = tuple(_KEYS)[:4]
+_OPTIONAL_KEYS = tuple(_KEYS)[4:]
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse flat ``key = value`` scenario text."""
     entries: dict[str, str] = {}
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -206,7 +236,7 @@ def parse_scenario(text: str) -> Scenario:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in known:
+        if key not in _KEYS:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
@@ -214,53 +244,17 @@ def parse_scenario(text: str) -> Scenario:
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ScenarioError(f"missing required key {key!r}")
-
-    def number(key: str, default: float | None = None) -> float:
-        if key not in entries:
-            return default  # type: ignore[return-value]
+    given: dict[str, dict[str, object]] = {"fiber": {}, "launch": {}, "": {}}
+    for key, value in entries.items():
+        attribute, parse = _KEYS[key]
+        owner, _, name = attribute.rpartition(".")
         try:
-            return float(entries[key])
+            given[owner][name] = parse(value)
         except ValueError as exc:
-            raise ScenarioError(f"key {key!r}: not a number: {entries[key]!r}") from exc
-
-    def integer(key: str, default: int) -> int:
-        value = number(key, float(default))
-        if not math.isfinite(value) or value != int(value):
-            raise ScenarioError(f"key {key!r}: expected an integer, got {entries[key]!r}")
-        return int(value)
-
-    fraction: float | str = OPTIMIZE
-    if "filter_fraction" in entries:
-        raw_fraction = entries["filter_fraction"]
-        fraction = raw_fraction if raw_fraction == OPTIMIZE else number("filter_fraction")
-    fractions = Scenario.optimize_fractions  # the field's default grid
-    if "optimize_fractions" in entries:
-        fractions = parse_fraction_spec(entries["optimize_fractions"])
-    seeds = parse_seed_spec(entries["seeds"]) if "seeds" in entries else range(20)
+            raise ScenarioError(f"key {key!r}: {exc}") from exc
     try:
-        fiber = FiberParams(
-            beta2=number("beta2_ps2_per_km", -21.7),
-            gamma=number("gamma_per_w_km", 1.27),
-            alpha=number("alpha_per_km", 0.0),
-            span_km=number("span_km"),
-        )
-        launch = LaunchSpec(
-            power_dbm=number("power_dbm"),
-            rolloff=number("rolloff", 0.1),
-            baud_rate=number("baud_gbaud", 10.0) * 1e9,
-        )
-        return Scenario(
-            fiber=fiber,
-            launch=launch,
-            candidate_spp=integer("candidate_spp", 0),
-            candidate_dz_km=number("candidate_dz_km"),
-            filter_fraction=fraction,
-            n_symbols=integer("n_symbols", 256),
-            seeds=seeds,
-            benchmark_spp=integer("benchmark_spp", BENCHMARK_SPP),
-            benchmark_dz_km=number("benchmark_dz_km", BENCHMARK_DZ_KM),
-            optimize_fractions=fractions,
-        )
+        fiber, launch = FiberParams(**given["fiber"]), LaunchSpec(**given["launch"])
+        return Scenario(fiber=fiber, launch=launch, **given[""])
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -324,14 +318,6 @@ def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
     raise ScenarioError(f"unknown sweep axis {axis!r}")  # pragma: no cover
 
 
-_AXIS_COLUMNS = {
-    "distance": "distance_km",
-    "power": "power_dbm",
-    "dt": "dt_over_ts_percent",
-    "bandwidth": "filter_fraction",
-}
-
-
 def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -> SweepResult:
     """NSD at each of the filter fractions ``values``, next to the fraction 1.0 NSD."""
     fractions = tuple(float(v) for v in values)
@@ -376,26 +362,24 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
 def _sweep_points(
     column: str, axis_values: tuple[float, ...], points: Sequence[Scenario], threads: int
 ) -> tuple[SweepResult, np.ndarray]:
-    """Evaluate checked sweep points; also return the last benchmark run."""
-    for point in points:  # every span must be whole steps before anything runs
-        for dz_km in (point.candidate_dz_km, point.benchmark_dz_km):
-            SsfmConfig.from_step(point.fiber.span_km, dz_km)
-    # Points that differ only in span share one run to the farthest of them;
-    # 1 km stands in for the span in the key that groups them.
+    """Evaluate sweep points; also return the last benchmark run."""
+    # Points that differ only in span share one run to the farthest span of
+    # the sweep, which keys their group.  No axis changes a step, so every
+    # point is whole steps at that span too.
+    far_km = max(point.fiber.span_km for point in points)
     groups: dict[Scenario, set[float]] = {}
     for point in points:
-        groups.setdefault(_at_span(point, 1.0), set()).add(point.fiber.span_km)
-    for shape, span_set in groups.items():  # one snapshot per span, plus 2
-        _check_memory(shape, copies=len(span_set) + 2)
+        groups.setdefault(_at_span(point, far_km), set()).add(point.fiber.span_km)
+    for run, span_set in groups.items():  # one snapshot per span, plus 2
+        _check_memory(run, copies=len(span_set) + 2)
     # The benchmark depends on no candidate setting, so consecutive groups
     # whose runs agree on the rest share one benchmark run.  In one sweep
     # either every group agrees (dt, fig2) or none does (power), so holding
     # only the last benchmark loses no reuse.
     key, bench_fields = None, None
     results: dict[Scenario, bandwidth.BandwidthSweep] = {}
-    for shape, span_set in groups.items():
+    for run, span_set in groups.items():
         spans = tuple(sorted(span_set))
-        run = _at_span(shape, spans[-1])
         run_key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
                    run.benchmark_dz_km, spans)
         if run_key != key:
@@ -406,7 +390,7 @@ def _sweep_points(
         )
         for span, result in zip(spans, sweeps):
             _warn_overflows(result.nsd_values, "fractions")
-            results[_at_span(shape, span)] = result
+            results[_at_span(run, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
     return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields
 
@@ -474,13 +458,12 @@ def _preset_scenario(
     fraction grid) or desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 grid)."""
     n_symbols, default_seeds, step = (64, desk_seeds, 0.05) if desk_scale else (256, 20, 0.01)
     return Scenario(
-        fiber=FiberParams(beta2=-21.7, gamma=1.27, alpha=0.0, span_km=span_km),
+        fiber=FiberParams(span_km=span_km),
         launch=LaunchSpec(power_dbm=power_dbm),
         candidate_spp=spp,
         candidate_dz_km=dz_km,
-        filter_fraction=OPTIMIZE,
         n_symbols=n_symbols,
-        seeds=seeds or range(default_seeds),
+        seeds=range(default_seeds) if seeds is None else seeds,
         optimize_fractions=bandwidth.default_fractions(step),
     )
 

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "QAM16",
     "SamplingGrid",
-    "SymbolSequence",
     "Waveform",
     "LaunchSpec",
     "make_grid",
@@ -95,28 +94,17 @@ def dbm_to_watts(power_dbm: float) -> float:
     return 10.0 ** (power_dbm / 10.0) * 1e-3
 
 
-@dataclass(frozen=True)
-class SymbolSequence:
-    """A seeded draw of 16-QAM symbols."""
-
-    symbols: np.ndarray
-    seed: int
-
-    @property
-    def n_symbols(self) -> int:
-        return len(self.symbols)
-
-
-def gen_symbols(seed: int, n_symbols: int) -> SymbolSequence:
+def gen_symbols(seed: int, n_symbols: int) -> np.ndarray:
     """Draw ``n_symbols`` independent uniform 16-QAM symbols.
 
-    The draw is reproducible: the same seed always yields the same sequence.
+    The draw is reproducible: the same seed always yields the same complex
+    array of :data:`QAM16` points.
     """
     if n_symbols < 1:
         raise ValueError(f"n_symbols must be positive, got {n_symbols}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 16, size=n_symbols)
-    return SymbolSequence(symbols=QAM16[idx], seed=seed)
+    return QAM16[idx]
 
 
 @dataclass(frozen=True)
@@ -184,13 +172,13 @@ def _raised_cosine_spectrum(freqs: np.ndarray, symbol_time: float, rolloff: floa
     return spec
 
 
-def shape_pulse(symbols: SymbolSequence, grid: SamplingGrid, launch: LaunchSpec) -> Waveform:
+def shape_pulse(symbols: np.ndarray, grid: SamplingGrid, launch: LaunchSpec) -> Waveform:
     """Raised-cosine shape a symbol sequence onto a sampling grid.
 
     Parameters
     ----------
-    symbols : SymbolSequence
-        One symbol per grid slot; the sequence length must match the grid.
+    symbols : np.ndarray
+        One complex symbol per grid slot; the length must match the grid.
     grid : SamplingGrid
         Target grid.  The pulse filter is applied cyclically, so tails wrap
         around the window edges.
@@ -203,13 +191,13 @@ def shape_pulse(symbols: SymbolSequence, grid: SamplingGrid, launch: LaunchSpec)
     Waveform
         The modulated waveform at z = 0.
     """
-    if symbols.n_symbols * grid.samples_per_symbol != grid.n_samples:
+    if len(symbols) * grid.samples_per_symbol != grid.n_samples:
         raise ValueError(
-            f"sequence of {symbols.n_symbols} symbols does not fill a grid of "
+            f"sequence of {len(symbols)} symbols does not fill a grid of "
             f"{grid.n_symbols} slots"
         )
     train = np.zeros(grid.n_samples, dtype=np.complex128)
-    train[:: grid.samples_per_symbol] = symbols.symbols
+    train[:: grid.samples_per_symbol] = symbols
     pulse = _raised_cosine_spectrum(grid.frequencies(), grid.symbol_time, launch.rolloff)
     # Unit pulse energy; the closed-form energy of the raised cosine is Ts(1 - rolloff/4).
     pulse /= math.sqrt(grid.symbol_time * (1.0 - launch.rolloff / 4.0))

@@ -379,6 +379,48 @@ class TestRefusedBeforeAnyWork:
         assert not (tmp_path / "out.csv").exists()
 
 
+    @pytest.mark.parametrize("step", ["0", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--config", "steps.txt"],
+            ["nsd", "steps.txt", "steps.txt"],
+            ["sweep", "--axis", "power", "--values", "6", "--config", "steps.txt"],
+            ["optimize-bandwidth", "--config", "steps.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_step_that_is_not_positive_exits_2(self, capsys, argv, step):
+        text = TINY.format(fraction="0.8")
+        text = text.replace("candidate_dz_km = 2", f"candidate_dz_km = {step}")
+        text = text.replace("benchmark_dz_km = 0.5", f"benchmark_dz_km = {step}")
+        with open("steps.txt", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: dz_km must be positive, got {float(step)}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-bandwidth", "--config", "span.txt"],
+            ["sweep", "--axis", "bandwidth", "--values", "0.8", "--config", "span.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_span_that_is_not_whole_steps_exits_2(self, capsys, argv):
+        with open("span.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="0.8").replace("span_km = 20", "span_km = 15"))
+        assert main(argv + ["--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 8 segments of 2.0 km do not cover a 15.0 km span\n"
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3a"])
+    def test_empty_seed_override_exits_2(self, capsys, preset):
+        """``--seeds 0`` asks for no seeds, not for the preset's default ones."""
+        assert main(["reproduce", preset, "--desk-scale", "--seeds", "0"]) == 2
+        assert capsys.readouterr().err == "error: seed list is empty\n"
+
+
 class TestReproduce:
     def test_fig2_writes_summary_and_traces(self, tmp_path):
         code = main(["reproduce", "fig2", "--desk-scale", "--seeds", "1", "--out", "fig2"])

@@ -45,6 +45,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SsfmConfig.from_step(100.0, 0.3)
 
+    @pytest.mark.parametrize("dz_km", [0.0, -0.5, math.nan, math.inf, 5e-324])
+    def test_from_step_refuses_a_step_it_cannot_count(self, dz_km):
+        """A step that is not positive and finite, or too short for the
+        segment count to be finite, is refused before any division fails."""
+        with pytest.raises(ValueError, match="dz_km must be positive|too short to count"):
+            SsfmConfig.from_step(100.0, dz_km)
+
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.01, math.nan])
     def test_rejects_bad_fraction(self, fraction):
         with pytest.raises(ValueError):

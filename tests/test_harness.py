@@ -22,6 +22,7 @@ from ssfmlab import (
     write_trace_csv,
 )
 from ssfmlab.harness import (
+    _KEYS,
     _OPTIONAL_KEYS,
     _REQUIRED_KEYS,
     FIG2_SPP,
@@ -86,14 +87,15 @@ class TestParseScenario:
         assert s.benchmark_spp == 24
 
     def test_readme_example_states_the_defaults(self):
-        """Every optional key of the README's scenario example shows its
-        default, so the example parses like its required keys alone (plus
-        its non-default fraction grid)."""
+        """The README's scenario example names every key, and every optional
+        key shows its default, so the example parses like its required keys
+        alone (plus its non-default fraction grid)."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in example.splitlines()]
+        assert set(_KEYS) <= set(keys)
         kept = _REQUIRED_KEYS + ("optimize_fractions",)
-        lines = [line for line in example.splitlines()
-                 if line.split("#", 1)[0].partition("=")[0].strip() in kept]
+        lines = [line for line, key in zip(example.splitlines(), keys) if key in kept]
         assert len(lines) == len(kept)
         assert parse_scenario(example) == parse_scenario("\n".join(lines))
 
