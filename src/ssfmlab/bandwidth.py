@@ -63,7 +63,7 @@ def _select_best(fractions: Sequence[float], values: Sequence[float]) -> tuple[f
 def sweep_bandwidth(
     scenario: "Scenario",
     fractions: Sequence[float] | None = None,
-    threads: int = 1,
+    threads: int = 0,
     launch_fields: np.ndarray | None = None,
     bench_fields: np.ndarray | None = None,
     spans: Sequence[float] | None = None,

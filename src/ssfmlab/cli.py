@@ -8,6 +8,7 @@ files, and scenarios too large to allocate, count as invalid configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import operator
@@ -42,7 +43,7 @@ def _add_common(
             type=int,
             default=0,
             metavar="N",
-            help="worker threads; every run's rows are split into <=256 KiB blocks, 0 = auto (default)",
+            help="worker threads, at most one per CPU; 0 = one per CPU (default)",
         )
 
 
@@ -83,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    import dataclasses
-
     if args.seeds:
         scenario = dataclasses.replace(scenario, seeds=harness.parse_seed_spec(args.seeds))
     return scenario
@@ -150,8 +149,12 @@ def _parse_values(text: str, axis: str) -> tuple[float, ...]:
 
 
 def _exit_status(values: Sequence[float]) -> int:
-    """3 when there are NSD values and overflow left none of them finite, else 0."""
-    return 3 if values and not any(math.isfinite(v) for v in values) else 0
+    """3, with an error line, when there are NSD values and overflow left none
+    of them finite, else 0."""
+    if values and not any(math.isfinite(v) for v in values):
+        print("error: numerical overflow left no finite NSD", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -166,8 +169,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
-    fractions = harness.parse_fraction_spec(args.fractions) if args.fractions else None
-    (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
+    if args.fractions:
+        grid = harness.parse_fraction_spec(args.fractions)
+        scenario = dataclasses.replace(scenario, optimize_fractions=grid)
+    # an optimizing scenario checks its grid, and bounds the responses it stacks
+    scenario = dataclasses.replace(scenario, filter_fraction=OPTIMIZE)
+    (result,) = sweep_bandwidth(scenario, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
         f"with nsd = {harness._fmt(result.best_nsd)} "

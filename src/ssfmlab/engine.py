@@ -132,8 +132,14 @@ def linear_multiplier(grid: SamplingGrid, fiber: FiberParams, cfg: SsfmConfig) -
     passband = np.abs(k) <= cfg.filter_fraction * (n / 2.0)
     values = np.zeros(n, dtype=np.complex128)
     f_pass = grid.frequencies()[passband]
-    phase = (2.0 * np.pi**2 * fiber.beta2 * cfg.dz_km) * (f_pass * f_pass)
-    values[passband] = math.exp(-0.5 * fiber.alpha * cfg.dz_km) * np.exp(1j * phase)
+    try:
+        gain = math.exp(-0.5 * fiber.alpha * cfg.dz_km)
+    except OverflowError:
+        gain = math.inf
+    # A gain or phase beyond float range diverges like any other run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = (2.0 * np.pi**2 * fiber.beta2 * cfg.dz_km) * (f_pass * f_pass)
+        values[passband] = gain * np.exp(1j * phase)
     return values
 
 

@@ -67,16 +67,28 @@ def _physical_bytes() -> float:
 
 
 def _check_memory(scenario: Scenario, copies: int) -> None:
-    """Refuse a run holding ``copies`` benchmark batches (the launch rows, the
-    run's buffers, one snapshot per span) beyond physical memory."""
-    seeds, n_symbols, spp = len(scenario.seeds), scenario.n_symbols, scenario.benchmark_spp
-    need = seeds * n_symbols * spp * 16 * copies
+    """Refuse a run beyond physical memory.
+
+    The benchmark stage holds ``copies`` seed batches on the benchmark grid:
+    the launch rows, the run's buffers and one snapshot per span.  The
+    candidate stage keeps the snapshots and the candidate launch rows (at
+    most a batch) and stacks one candidate response per fraction of the
+    point grid.
+    """
+    seeds = scenario.seeds
+    # len() cannot count a lazy range beyond sys.maxsize; the range's index can
+    n_seeds = seeds.index(seeds[-1]) + 1 if isinstance(seeds, range) else len(seeds)
+    n_fractions = len(_point_grid(scenario))
+    n_symbols, spp = scenario.n_symbols, scenario.benchmark_spp
+    batch = n_seeds * n_symbols * spp * 16
+    stack = n_fractions * n_symbols * scenario.candidate_spp * 16
+    need = batch * (copies - 1) + max(batch, stack)
     limit = _physical_bytes()
     if need > limit:
         raise ScenarioError(
-            f"out of memory: {seeds} seeds of {n_symbols} symbols at {spp} samples per "
-            f"symbol need about {need / 2**30:.3g} GiB, more than the "
-            f"{limit / 2**30:.3g} GiB of physical memory"
+            f"out of memory: {n_seeds} seeds of {n_symbols} symbols at {spp} samples per "
+            f"symbol and {n_fractions} filter fractions need about {need / 2**30:.3g} GiB, "
+            f"more than the {limit / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -108,6 +120,16 @@ class Scenario:
             raise ScenarioError(f"n_symbols must be positive, got {self.n_symbols}")
         if not self.seeds:
             raise ScenarioError("seed list is empty")
+        if isinstance(self.filter_fraction, str):
+            if self.filter_fraction != OPTIMIZE:
+                raise ScenarioError(
+                    f"filter_fraction must be a number in (0, 1] or '{OPTIMIZE}', "
+                    f"got {self.filter_fraction!r}"
+                )
+        elif not 0.0 < self.filter_fraction <= 1.0:
+            raise ScenarioError(
+                f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
+            )
         _check_memory(self, copies=3)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if len(set(self.seeds)) != len(self.seeds):
@@ -120,16 +142,6 @@ class Scenario:
             raise ScenarioError(
                 f"candidate_dz_km {self.candidate_dz_km} is finer than "
                 f"benchmark_dz_km {self.benchmark_dz_km}"
-            )
-        if isinstance(self.filter_fraction, str):
-            if self.filter_fraction != OPTIMIZE:
-                raise ScenarioError(
-                    f"filter_fraction must be a number in (0, 1] or '{OPTIMIZE}', "
-                    f"got {self.filter_fraction!r}"
-                )
-        elif not 0.0 < self.filter_fraction <= 1.0:
-            raise ScenarioError(
-                f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
             )
         try:  # refuse malformed grids and steps before any command propagates
             bandwidth._validate_fractions(self.optimize_fractions)
@@ -181,7 +193,10 @@ def parse_fraction_spec(text: str) -> tuple[float, ...]:
         raise ScenarioError(f"cannot parse fraction grid {text!r}") from exc
     if not (math.isfinite(span) and span >= 0.0):
         raise ScenarioError(f"range {text!r} does not lead from start to stop")
-    grid = tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+    count = round(span) + 1
+    if count * 64 > _physical_bytes():  # 32 B a fraction in the tuple, 32 B in any run's stack
+        raise ScenarioError(f"out of memory: range {text!r} holds {count:.3g} fractions")
+    grid = tuple(round(start + i * step, 12) for i in range(count))
     if not math.isclose(grid[-1], stop, rel_tol=1e-9):
         raise ScenarioError(f"step does not divide the range in {text!r}")
     return grid
@@ -330,7 +345,7 @@ def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -
     )
 
 
-def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) -> SweepResult:
+def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) -> SweepResult:
     """Sweep one axis of a scenario and collect filtered/unfiltered NSD.
 
     Axis values are km for ``distance``, dBm for ``power``, integer samples
@@ -350,7 +365,8 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 1) 
 
     if axis == "bandwidth":
         grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
-        (result,) = bandwidth.sweep_bandwidth(base, grid, threads=threads)
+        run = dataclasses.replace(base, filter_fraction=OPTIMIZE, optimize_fractions=grid)
+        (result,) = bandwidth.sweep_bandwidth(run, threads=threads)
         _warn_overflows(result.nsd_values, "fractions")
         return bandwidth_table(result, values)
 
@@ -510,7 +526,7 @@ def fig2_scenario(
 
 
 def reproduce_fig2(
-    desk_scale: bool = False, seeds: Sequence[int] | None = None, threads: int = 1
+    desk_scale: bool = False, seeds: Sequence[int] | None = None, threads: int = 0
 ) -> tuple[SweepResult, dict[str, Waveform]]:
     """Time-discretization study of :func:`fig2_scenario` over :data:`FIG2_SPP`.
 

@@ -5,7 +5,8 @@ through its parameter attributes.  All seeds of a scenario are propagated
 together as the rows of one 2-D field array, which keeps long sweeps cheap;
 a candidate stacks the seeds of every filter fraction of its grid.  Each
 run is split into contiguous row blocks of at most
-:data:`engine.BLOCK_BYTES`, at least one per worker thread.  Every block
+:data:`engine.BLOCK_BYTES`, in whole rounds of one pool of at most one
+worker thread per CPU.  Every block
 passes the byte size of its logical batch (all seeds of one benchmark or
 one fraction) to :func:`engine.run_segments`, which pins the Kerr multiply
 order by it, so a row's bits do not depend on how the rows are blocked or
@@ -48,22 +49,20 @@ def shaped_fields(scenario: "Scenario") -> np.ndarray:
 
 
 def _run_blocks(task: Callable[[range], None], rows: int, row_bytes: int, threads: int) -> None:
-    """Call ``task`` on contiguous row ranges of at most :data:`engine.BLOCK_BYTES`.
+    """Call ``task`` on contiguous row ranges, on one pool of worker threads.
 
-    There is at least one range per one of ``threads`` workers (0 = one per
-    CPU); the ranges share one pool of at most one thread per CPU.
+    The pool has ``threads`` workers (0 = one per CPU), but at most one per
+    CPU and one per row.  The ranges hold at most :data:`engine.BLOCK_BYTES`
+    (a single row may hold more), and their count is the fewest whole rounds
+    of the pool, capped at one range per row.
     """
     cpus = os.cpu_count() or 1
-    workers = threads if threads > 0 else cpus
+    workers = min(threads or cpus, cpus, rows)
     per_block = max(1, engine.BLOCK_BYTES // row_bytes)
-    count = min(rows, max(workers, math.ceil(rows / per_block)))
+    count = min(rows, workers * math.ceil(rows / (per_block * workers)))
     bounds = [rows * i // count for i in range(count + 1)]
     blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    if min(workers, count, cpus) == 1:
-        for block in blocks:
-            task(block)
-        return
-    with ThreadPoolExecutor(max_workers=min(workers, count, cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(task, blocks))  # re-raises a block's exception
 
 
@@ -77,7 +76,7 @@ def _response(scenario: "Scenario", grid: SamplingGrid, dz_km: float, fraction: 
 
 
 def benchmark_fields(
-    scenario: "Scenario", spans: Sequence[float] | None = None, threads: int = 1
+    scenario: "Scenario", spans: Sequence[float] | None = None, threads: int = 0
 ) -> np.ndarray:
     """Benchmark outputs (fine grid, fine step, unfiltered) at each of ``spans``.
 
@@ -109,7 +108,7 @@ def fraction_nsds(
     launch_fields: np.ndarray,
     bench_fields: np.ndarray,
     spans: Sequence[float] | None = None,
-    threads: int = 1,
+    threads: int = 0,
 ) -> np.ndarray:
     """Per-span, per-fraction, per-seed NSD of filtered candidate runs against cached benchmarks.
 

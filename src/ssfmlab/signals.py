@@ -88,10 +88,13 @@ def make_grid(n_symbols: int, samples_per_symbol: int, symbol_time: float = 100.
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
+    """Convert a power level in dBm to watts; both must be finite."""
     if not math.isfinite(power_dbm):
         raise ValueError(f"power_dbm must be finite, got {power_dbm}")
-    return 10.0 ** (power_dbm / 10.0) * 1e-3
+    try:
+        return 10.0 ** (power_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ValueError(f"power_dbm {power_dbm} is too large to express in watts") from None
 
 
 def gen_symbols(seed: int, n_symbols: int) -> np.ndarray:
@@ -116,8 +119,7 @@ class LaunchSpec:
     baud_rate: float = 10e9  # symbols/s
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.power_dbm):
-            raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
+        dbm_to_watts(self.power_dbm)  # refuses a power without a finite value in watts
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must lie in [0, 1], got {self.rolloff}")
         if not (math.isfinite(self.baud_rate) and self.baud_rate > 0.0):

@@ -1,6 +1,12 @@
+import contextlib
+import dataclasses
+import io
+import os
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssfmlab import engine, harness, runner
 from ssfmlab.cli import main
@@ -18,6 +24,8 @@ filter_fraction = {fraction}
 """
 # Just above three benchmark batches of TINY (2 seeds x 16 symbols x 12 samples x 16 B).
 THREE_BATCHES = 3 * 2 * 16 * 12 * 16 + 1
+# 0.5:0.00001:1.0 as a comma list: 50,001 filter fractions.
+FINE_GRID = ",".join(str(round(0.5 + i * 0.00001, 12)) for i in range(50001))
 
 
 @pytest.fixture
@@ -143,7 +151,7 @@ class TestNsd:
         )
         assert main(["nsd", str(reference), str(candidate)]) == 0
 
-    def test_overflow_everywhere_exits_3(self, tmp_path):
+    def test_overflow_everywhere_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "gain.txt"
         spec.write_text(
             "span_km = 400\npower_dbm = 6\ncandidate_spp = 6\ncandidate_dz_km = 10\n"
@@ -152,6 +160,7 @@ class TestNsd:
             encoding="utf-8",
         )
         assert main(["nsd", str(spec), str(spec)]) == 3
+        assert capsys.readouterr().err == "error: numerical overflow left no finite NSD\n"
 
 
 class TestSweep:
@@ -414,6 +423,68 @@ class TestRefusedBeforeAnyWork:
         err = capsys.readouterr().err
         assert err == "error: 8 segments of 2.0 km do not cover a 15.0 km span\n"
 
+    @pytest.mark.parametrize(
+        "power, argv",
+        [
+            ("1e5", ["sweep", "--axis", "dt", "--values", "6"]),
+            ("6", ["sweep", "--axis", "power", "--values", "6,1e5"]),
+        ],
+        ids=["file", "power-axis"],
+    )
+    def test_power_beyond_float_range_in_watts_exits_2(self, capsys, power, argv):
+        """10 ** (1e5 / 10) W overflows a float; the launch refuses it."""
+        with open("power.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="0.8").replace("power_dbm = 6", f"power_dbm = {power}"))
+        assert main(argv + ["--config", "power.txt", "--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: power_dbm 100000.0 is too large to express in watts\n"
+
+    @pytest.mark.parametrize(
+        "seeds, argv",
+        [
+            ("99999999999999999999999", ["optimize-bandwidth", "--config", "seeds.txt"]),
+            ("2", ["optimize-bandwidth", "--config", "seeds.txt",
+                   "--seeds", "99999999999999999999999"]),
+            ("2", ["reproduce", "fig3a", "--desk-scale", "--seeds", "99999999999999999999999"]),
+        ],
+        ids=["file", "optimize-override", "reproduce-override"],
+    )
+    def test_seed_count_beyond_sys_maxsize_exits_2(self, capsys, seeds, argv):
+        """A seed count too large for ``len()`` is still bounded, from the range itself."""
+        with open("seeds.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="optimize").replace("seeds = 2", f"seeds = {seeds}"))
+        assert main(argv + ["--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: 99999999999999999999999 seeds of ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fraction", ["optimize", "0.8"])
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [
+            ("optimize_fractions = 0.5:0.00001:1.0\n", ["optimize-bandwidth"]),
+            ("", ["optimize-bandwidth", "--fractions", "0.5:0.00001:1.0"]),
+            ("", ["sweep", "--axis", "bandwidth", "--values", FINE_GRID]),
+        ],
+        ids=["file", "fractions-flag", "bandwidth-axis"],
+    )
+    def test_candidate_stack_beyond_physical_memory_exits_2(
+        self, tmp_path, capsys, monkeypatch, fraction, extra, argv
+    ):
+        """50,001 responses of 4,096 candidate samples stack about 3.3 GB, refused
+        from the count alone: here against a patched 1 GiB of memory."""
+        monkeypatch.setattr(harness, "_physical_bytes", lambda: 2**30)
+        text = TINY.format(fraction=fraction).replace("n_symbols = 16", "n_symbols = 512")
+        (tmp_path / "stack.txt").write_text(
+            text.replace("candidate_spp = 6", "candidate_spp = 8") + extra, encoding="utf-8"
+        )
+        assert main(argv + ["--config", "stack.txt", "--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: 2 seeds of 512 symbols at 12 samples per ")
+        assert "and 50001 filter fractions need about 3.0" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("preset", ["fig2", "fig3a"])
     def test_empty_seed_override_exits_2(self, capsys, preset):
         """``--seeds 0`` asks for no seeds, not for the preset's default ones."""
@@ -436,3 +507,94 @@ class TestReproduce:
     def test_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig7"])
+
+
+# --------------------------------------------------------------------------
+# every command line ends in an exit code and at most one error line
+
+# 8 symbols, 2 seeds, 2 km: a run that is not refused takes milliseconds.
+_TINY_KEYS = {
+    "span_km": "2", "power_dbm": "6", "candidate_spp": "4", "candidate_dz_km": "1",
+    "beta2_ps2_per_km": "-21.7", "gamma_per_w_km": "1.27", "alpha_per_km": "0",
+    "rolloff": "0.1", "baud_gbaud": "10", "n_symbols": "8", "seeds": "2",
+    "filter_fraction": "0.75", "benchmark_spp": "8", "benchmark_dz_km": "0.5",
+    "optimize_fractions": "0.5:0.25:1",
+}
+_VALID_VALUES = {"distance": "1,2", "power": "0,6", "dt": "4,6", "bandwidth": "0.5,0.75"}
+# Huge (beyond float range once scaled, or beyond memory), negative, NaN, inf,
+# empty and malformed.  Spans of 1e5 or 1e23 km are valid and ask for 2e5 or
+# 2e23 segments, so span values draw 1e308 as their huge value.
+_BAD = ["1e308", "-1e308", "99999999999999999999999", "1e5", "-1e5", "-1", "0",
+        "nan", "inf", "-inf", "", "x", "1,2", "1,1", "0.5:1e-300:1", "1:0:1"]
+_BAD_SPAN = [value for value in _BAD if value not in ("99999999999999999999999", "1e5")]
+_OUTS = ["out.csv", "", ".", "missing/out.csv"]
+_preset_scenario = harness._preset_scenario
+
+
+def _tiny_preset(spp, power_dbm, desk_scale, desk_seeds, seeds, span_km=1000.0, dz_km=0.1):
+    """A preset point at 8 symbols, 2 default seeds and 100-fold steps."""
+    base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, seeds, span_km, dz_km)
+    return dataclasses.replace(
+        base, n_symbols=8, seeds=range(2) if seeds is None else base.seeds,
+        candidate_dz_km=100 * dz_km, benchmark_dz_km=100 * dz_km,
+    )
+
+
+@st.composite
+def command_lines(draw):
+    """A scenario text and the argv of one command, with up to two slots
+    (scenario keys and flags) drawn from the bad values."""
+    slots = list(_TINY_KEYS) + ["--seeds", "--out", "--threads", "--values", "--fractions"]
+    bad = draw(st.sets(st.sampled_from(slots), max_size=2))
+
+    def value(slot, valid, spans=False):
+        if slot not in bad:
+            return valid
+        return draw(st.sampled_from(_BAD_SPAN if spans or slot == "span_km" else _BAD))
+
+    text = "".join(f"{key} = {value(key, valid)}\n" for key, valid in _TINY_KEYS.items())
+    command = draw(st.sampled_from(("propagate", "nsd", "sweep", "optimize-bandwidth", "reproduce")))
+    if command == "propagate":
+        argv = ["propagate", "--config", "tiny.txt"]
+    elif command == "nsd":
+        argv = ["nsd", "tiny.txt", "tiny.txt"]
+    elif command == "sweep":
+        axis = draw(st.sampled_from(harness.AXES))
+        values = value("--values", _VALID_VALUES[axis], spans=axis == "distance")
+        argv = ["sweep", "--axis", axis, "--values", values, "--config", "tiny.txt"]
+    elif command == "optimize-bandwidth":
+        argv = ["optimize-bandwidth", "--config", "tiny.txt"]
+        if draw(st.booleans()):
+            argv += ["--fractions", value("--fractions", "0.5:0.25:1")]
+    else:
+        argv = ["reproduce", draw(st.sampled_from(harness.PRESETS))]
+        if draw(st.booleans()):
+            argv.append("--desk-scale")
+    if draw(st.booleans()):
+        argv += ["--seeds", value("--seeds", "1,2")]
+    if draw(st.booleans()):
+        argv += ["--out", value("--out", draw(st.sampled_from(_OUTS)))]
+    if command in ("sweep", "optimize-bandwidth", "reproduce") and draw(st.booleans()):
+        argv += ["--threads", value("--threads", draw(st.sampled_from(["0", "1", "3"])))]
+    return text, argv
+
+
+@settings(max_examples=200)
+@given(command_lines())
+def test_every_command_line_ends_in_an_exit_code(tmp_path_factory, drawn):
+    """Each argv of the five commands exits 0, 2, 3 or 4; a non-zero exit
+    prints exactly one error line, and no exception escapes ``main``."""
+    text, argv = drawn
+    os.chdir(tmp_path_factory.mktemp("argv"))
+    with open("tiny.txt", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with mock.patch.object(harness, "_preset_scenario", _tiny_preset), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exited:  # argparse refuses the argv
+            code = exited.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert len(errors) == (code != 0), err.getvalue()

@@ -22,7 +22,8 @@ def five_seeds(large):
 class TestBenchmarkFields:
     @pytest.mark.parametrize("spans", [None, (2.0, 4.0, 8.0)])
     @pytest.mark.parametrize("large", [False, True])
-    def test_thread_count_changes_no_bit(self, large, spans):
+    def test_thread_count_changes_no_bit(self, large, spans, monkeypatch):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)  # 3 workers split the rows
         scenario = five_seeds(large)
         grid = scenario.benchmark_grid
         assert (5 * grid.n_samples * 16 >= engine.BLOCK_BYTES) == large
@@ -43,7 +44,8 @@ class TestBenchmarkFields:
 class TestFractionNsds:
     @pytest.mark.parametrize("spans", [None, (4.0, 8.0)])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_grid_equals_one_fraction_calls(self, threads, spans):
+    def test_grid_equals_one_fraction_calls(self, threads, spans, monkeypatch):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)  # 3 workers split the rows
         scenario = five_seeds(large=False)
         fractions = (0.6, 0.8, 1.0)
         launch = runner.shaped_fields(scenario)
@@ -57,39 +59,72 @@ class TestFractionNsds:
                     assert grid[j, k, seed] == alone[j, 0, seed], (j, fraction, seed)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for ``ThreadPoolExecutor`` with a pool that records its size
+    and blocks and runs every block inline, so no thread is started."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append({"max_workers": max_workers, "blocks": []})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, blocks):
+            pools[-1]["blocks"].extend(blocks)
+            return [fn(block) for block in pools[-1]["blocks"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    return pools
+
+
 class TestRunBlocks:
-    def test_pool_is_capped_at_one_thread_per_cpu(self, monkeypatch):
-        """``threads`` above the CPU count splits the rows finer but opens a
-        pool of one worker per CPU.  The recording pool runs every block
-        inline, so no thread is started."""
+    def test_pool_is_capped_at_one_thread_per_cpu(self, recording_pool, monkeypatch):
+        """``threads`` above the CPU count opens a pool of one worker per CPU,
+        and the rows are split into whole rounds of that pool, not finer."""
         scenario = five_seeds(large=False)
         fractions = (0.6, 0.8, 1.0)
         launch = runner.shaped_fields(scenario)
-        bench = runner.benchmark_fields(scenario)
-        serial = runner.fraction_nsds(scenario, fractions, launch, bench)
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append({"max_workers": max_workers, "blocks": []})
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, blocks):
-                pools[-1]["blocks"].extend(blocks)
-                return [fn(block) for block in pools[-1]["blocks"]]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", InlinePool)
+        bench = runner.benchmark_fields(scenario, threads=1)
+        serial = runner.fraction_nsds(scenario, fractions, launch, bench, threads=1)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        recording_pool.clear()
         capped = runner.fraction_nsds(scenario, fractions, launch, bench, threads=5000)
-        assert [pool["max_workers"] for pool in pools] == [2]
-        assert pools[0]["blocks"] == [range(row, row + 1) for row in range(15)]
+        assert [pool["max_workers"] for pool in recording_pool] == [2]
+        assert recording_pool[0]["blocks"] == [range(0, 7), range(7, 15)]
         assert np.array_equal(capped, serial)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("threads", [0, 1, 2, 5])
+    @pytest.mark.parametrize(
+        "rows, row_bytes",
+        [(1, 1024), (3, 96 * 1024), (5, 300 * 1024), (15, 1024), (66, 16 * 1024),
+         (40, 30 * 1024), (510, 16 * 1024), (7, 256 * 1024)],
+    )
+    def test_blocks_are_whole_rounds_of_one_pool(
+        self, recording_pool, monkeypatch, rows, row_bytes, threads, cpus
+    ):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        seen = []
+        runner._run_blocks(seen.append, rows, row_bytes, threads)
+        (pool,) = recording_pool
+        workers, blocks = pool["max_workers"], pool["blocks"]
+        assert workers == min(threads or cpus, cpus, rows)
+        assert seen == blocks
+        assert [row for block in blocks for row in block] == list(range(rows))
+        assert all(len(block) > 0 for block in blocks)
+        assert len(blocks) % workers == 0 or len(blocks) == rows
+        for block in blocks:
+            assert len(block) * row_bytes <= engine.BLOCK_BYTES or len(block) == 1
+        # one round fewer would need a block beyond BLOCK_BYTES
+        per_block = max(1, engine.BLOCK_BYTES // row_bytes)
+        assert len(blocks) <= workers or (len(blocks) - workers) * per_block < rows
