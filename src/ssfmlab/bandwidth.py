@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -14,6 +15,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
 __all__ = ["BandwidthSweep", "default_fractions", "sweep_bandwidth"]
+
+log = logging.getLogger(__name__)
 
 
 def default_fractions(step: float = 0.01) -> tuple[float, ...]:
@@ -78,7 +81,7 @@ def sweep_bandwidth(
     recomputation.  The benchmark and the whole fraction grid each run as
     row blocks on ``threads`` workers (0 = one per CPU).  A fraction whose
     propagation diverges is recorded as NSD = +inf rather than failing the
-    sweep.
+    sweep, and each span with such fractions logs one warning.
 
     One sweep per span is returned as a tuple.  With ``spans`` (ascending
     km, see :func:`runner.benchmark_fields`) each fraction is propagated once
@@ -93,6 +96,9 @@ def sweep_bandwidth(
     sweeps = []
     for at_span in per_seed:
         values = tuple(float(np.mean(row)) for row in at_span)
+        n_bad = sum(1 for v in values if not math.isfinite(v))
+        if n_bad:
+            log.warning("%d of %d fractions overflowed (reported as inf)", n_bad, len(values))
         best_fraction, best_nsd = _select_best(fractions, values)
         sweeps.append(BandwidthSweep(fractions, values, best_fraction, best_nsd))
     return tuple(sweeps)

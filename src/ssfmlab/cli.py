@@ -169,12 +169,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
-    if args.fractions:
-        grid = harness.parse_fraction_spec(args.fractions)
-        scenario = dataclasses.replace(scenario, optimize_fractions=grid)
-    # an optimizing scenario checks its grid, and bounds the responses it stacks
-    scenario = dataclasses.replace(scenario, filter_fraction=OPTIMIZE)
-    (result,) = sweep_bandwidth(scenario, threads=args.threads)
+    fractions = harness.parse_fraction_spec(args.fractions) if args.fractions else None
+    (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
         f"with nsd = {harness._fmt(result.best_nsd)} "

@@ -201,14 +201,14 @@ def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:
 
     The input must sit at z = 0 and the segment count must cover the span.
     Raises :class:`NumericalOverflowError` naming the segment at which field
-    values first became non-finite.
+    values first became non-finite, counted from 1.
     """
     if wave.z_km != 0.0:
         raise ValueError(f"input waveform must be at z = 0, got z = {wave.z_km} km")
     _check_span(cfg, fiber.span_km)
     h = linear_multiplier(wave.grid, fiber, cfg)
     snapshots = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, range(1, cfg.n_seg + 1))
-    for seg, field in enumerate(snapshots):
+    for seg, field in enumerate(snapshots, start=1):
         if not np.all(np.isfinite(field)):
             raise NumericalOverflowError(seg)
     return Waveform(samples=field, grid=wave.grid, z_km=fiber.span_km)

@@ -10,7 +10,6 @@ runs in ps/km/W.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ __all__ = [
     "reproduce_fig2",
 ]
 
-log = logging.getLogger(__name__)
-
 _AXIS_COLUMNS = {
     "distance": "distance_km",
     "power": "power_dbm",
@@ -67,28 +64,19 @@ def _physical_bytes() -> float:
 
 
 def _check_memory(scenario: Scenario, copies: int) -> None:
-    """Refuse a run beyond physical memory.
-
-    The benchmark stage holds ``copies`` seed batches on the benchmark grid:
-    the launch rows, the run's buffers and one snapshot per span.  The
-    candidate stage keeps the snapshots and the candidate launch rows (at
-    most a batch) and stacks one candidate response per fraction of the
-    point grid.
-    """
+    """Refuse a run holding ``copies`` benchmark batches (the launch rows, the
+    run's buffers, one snapshot per span) beyond physical memory."""
     seeds = scenario.seeds
     # len() cannot count a lazy range beyond sys.maxsize; the range's index can
     n_seeds = seeds.index(seeds[-1]) + 1 if isinstance(seeds, range) else len(seeds)
-    n_fractions = len(_point_grid(scenario))
     n_symbols, spp = scenario.n_symbols, scenario.benchmark_spp
-    batch = n_seeds * n_symbols * spp * 16
-    stack = n_fractions * n_symbols * scenario.candidate_spp * 16
-    need = batch * (copies - 1) + max(batch, stack)
+    need = n_seeds * n_symbols * spp * 16 * copies
     limit = _physical_bytes()
     if need > limit:
         raise ScenarioError(
             f"out of memory: {n_seeds} seeds of {n_symbols} symbols at {spp} samples per "
-            f"symbol and {n_fractions} filter fractions need about {need / 2**30:.3g} GiB, "
-            f"more than the {limit / 2**30:.3g} GiB of physical memory"
+            f"symbol need about {need / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -194,7 +182,7 @@ def parse_fraction_spec(text: str) -> tuple[float, ...]:
     if not (math.isfinite(span) and span >= 0.0):
         raise ScenarioError(f"range {text!r} does not lead from start to stop")
     count = round(span) + 1
-    if count * 64 > _physical_bytes():  # 32 B a fraction in the tuple, 32 B in any run's stack
+    if count * 64 > _physical_bytes():  # 32 B a fraction in the tuple, 32 B in its NSD value
         raise ScenarioError(f"out of memory: range {text!r} holds {count:.3g} fractions")
     grid = tuple(round(start + i * step, 12) for i in range(count))
     if not math.isclose(grid[-1], stop, rel_tol=1e-9):
@@ -289,12 +277,6 @@ def load_scenario(path: str) -> Scenario:
 # running scenarios
 
 
-def _warn_overflows(values: Sequence[float], what: str) -> None:
-    n_bad = sum(1 for v in values if not math.isfinite(v))
-    if n_bad:
-        log.warning("%d of %d %s overflowed (reported as inf)", n_bad, len(values), what)
-
-
 def _point_grid(scenario: Scenario) -> tuple[float, ...]:
     """The fractions one point evaluates: the optimize grid, or its pinned fraction and 1.0."""
     if scenario.filter_fraction != OPTIMIZE:
@@ -365,9 +347,7 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) 
 
     if axis == "bandwidth":
         grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
-        run = dataclasses.replace(base, filter_fraction=OPTIMIZE, optimize_fractions=grid)
-        (result,) = bandwidth.sweep_bandwidth(run, threads=threads)
-        _warn_overflows(result.nsd_values, "fractions")
+        (result,) = bandwidth.sweep_bandwidth(base, grid, threads=threads)
         return bandwidth_table(result, values)
 
     points = [_substitute(base, axis, float(v)) for v in values]
@@ -405,7 +385,6 @@ def _sweep_points(
             run, _point_grid(run), threads=threads, bench_fields=bench_fields, spans=spans
         )
         for span, result in zip(spans, sweeps):
-            _warn_overflows(result.nsd_values, "fractions")
             results[_at_span(run, span)] = result
     without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
     return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields

@@ -6,11 +6,11 @@ together as the rows of one 2-D field array, which keeps long sweeps cheap;
 a candidate stacks the seeds of every filter fraction of its grid.  Each
 run is split into contiguous row blocks of at most
 :data:`engine.BLOCK_BYTES`, in whole rounds of one pool of at most one
-worker thread per CPU.  Every block
-passes the byte size of its logical batch (all seeds of one benchmark or
-one fraction) to :func:`engine.run_segments`, which pins the Kerr multiply
-order by it, so a row's bits do not depend on how the rows are blocked or
-on the thread count.
+worker thread per CPU; a candidate block builds the filtered responses of
+its own rows.  Every block passes the byte size of its logical batch (all
+seeds of one benchmark or one fraction) to :func:`engine.run_segments`,
+which pins the Kerr multiply order by it, so a row's bits do not depend on
+how the rows are blocked or on the thread count.
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.
@@ -124,7 +124,6 @@ def fraction_nsds(
     grid_c = scenario.candidate_grid
     grid_b = scenario.benchmark_grid
     dz_km = scenario.candidate_dz_km
-    responses = np.array([_response(scenario, grid_c, dz_km, f) for f in fractions])
     gamma_dz = scenario.fiber.gamma * dz_km
     stops = _stops(dz_km, spans)
     n_seeds = len(launch_fields)
@@ -132,9 +131,10 @@ def fraction_nsds(
 
     def run(block: range) -> None:
         which, seeds = np.divmod(np.arange(block.start, block.stop), n_seeds)
+        h = np.array([_response(scenario, grid_c, dz_km, fractions[k]) for k in which])
         # Each fraction's run of all seeds is the logical batch its bits follow.
         snapshots = engine.run_segments(
-            launch_fields[seeds], responses[which], gamma_dz, stops, launch_fields.nbytes
+            launch_fields[seeds], h, gamma_dz, stops, launch_fields.nbytes
         )
         for j, (span, outputs) in enumerate(zip(spans, snapshots)):
             for row, seed, out_row in zip(block, seeds, outputs):

@@ -47,11 +47,6 @@ class SamplingGrid:
         return self.n_samples // self.samples_per_symbol
 
     @property
-    def sampling_rate(self) -> float:
-        """Ws = 1/dt in 1/ps."""
-        return 1.0 / self.dt
-
-    @property
     def duration(self) -> float:
         return self.n_samples * self.dt
 
@@ -88,13 +83,16 @@ def make_grid(n_symbols: int, samples_per_symbol: int, symbol_time: float = 100.
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    """Convert a power level in dBm to watts; both must be finite."""
+    """Convert a power level in dBm to watts; both must be finite, and the watts above 0."""
     if not math.isfinite(power_dbm):
         raise ValueError(f"power_dbm must be finite, got {power_dbm}")
     try:
-        return 10.0 ** (power_dbm / 10.0) * 1e-3
+        watts = 10.0 ** (power_dbm / 10.0) * 1e-3
     except OverflowError:
         raise ValueError(f"power_dbm {power_dbm} is too large to express in watts") from None
+    if watts == 0.0:
+        raise ValueError(f"power_dbm {power_dbm} is too small to express in watts")
+    return watts
 
 
 def gen_symbols(seed: int, n_symbols: int) -> np.ndarray:
@@ -119,7 +117,7 @@ class LaunchSpec:
     baud_rate: float = 10e9  # symbols/s
 
     def __post_init__(self) -> None:
-        dbm_to_watts(self.power_dbm)  # refuses a power without a finite value in watts
+        dbm_to_watts(self.power_dbm)  # refuses a power without a finite, nonzero value in watts
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must lie in [0, 1], got {self.rolloff}")
         if not (math.isfinite(self.baud_rate) and self.baud_rate > 0.0):
@@ -148,15 +146,6 @@ class Waveform:
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
         object.__setattr__(self, "samples", samples)
-
-    def energy(self) -> float:
-        """Total energy sum(|a|^2) dt."""
-        p = self.samples.real**2 + self.samples.imag**2
-        return float(np.sum(p) * self.grid.dt)
-
-    def mean_power(self) -> float:
-        p = self.samples.real**2 + self.samples.imag**2
-        return float(np.mean(p))
 
 
 def _raised_cosine_spectrum(freqs: np.ndarray, symbol_time: float, rolloff: float) -> np.ndarray:

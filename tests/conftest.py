@@ -28,6 +28,18 @@ def small_waveform(small_grid):
     return shape_pulse(gen_symbols(7, 16), small_grid, launch)
 
 
+def energy(wave):
+    """Total energy sum(|a|^2) dt of a waveform."""
+    p = wave.samples.real**2 + wave.samples.imag**2
+    return float(np.sum(p) * wave.grid.dt)
+
+
+def mean_power(wave):
+    """Time-average power mean(|a|^2) of a waveform."""
+    p = wave.samples.real**2 + wave.samples.imag**2
+    return float(np.mean(p))
+
+
 def tiny_scenario(**overrides):
     """A scenario small enough for sub-second sweeps in unit tests."""
     base = dict(

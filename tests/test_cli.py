@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import logging
 import os
 import threading
 from unittest import mock
@@ -24,8 +25,6 @@ filter_fraction = {fraction}
 """
 # Just above three benchmark batches of TINY (2 seeds x 16 symbols x 12 samples x 16 B).
 THREE_BATCHES = 3 * 2 * 16 * 12 * 16 + 1
-# 0.5:0.00001:1.0 as a comma list: 50,001 filter fractions.
-FINE_GRID = ",".join(str(round(0.5 + i * 0.00001, 12)) for i in range(50001))
 
 
 @pytest.fixture
@@ -255,6 +254,20 @@ class TestOptimizeBandwidth:
         assert main(["optimize-bandwidth", "--config", path]) == 0
         assert "best filter_fraction" in capsys.readouterr().out
 
+    def test_warns_of_overflowed_fractions(self, tmp_path, capsys, caplog):
+        """A 400 km gain fiber overflows every fraction; the search says so
+        once, as the bandwidth axis of ``sweep`` does."""
+        text = TINY.format(fraction="optimize").replace("span_km = 20", "span_km = 400")
+        text = text.replace("candidate_dz_km = 2", "candidate_dz_km = 10")
+        text = text.replace("benchmark_dz_km = 0.5", "benchmark_dz_km = 10")
+        (tmp_path / "gain.txt").write_text(text + "alpha_per_km = -2\n", encoding="utf-8")
+        argv = ["optimize-bandwidth", "--config", "gain.txt", "--fractions", "0.6,0.8,1.0"]
+        with caplog.at_level(logging.WARNING, logger="ssfmlab.bandwidth"):
+            assert main(argv) == 3
+        warnings = [record.getMessage() for record in caplog.records]
+        assert warnings == ["3 of 3 fractions overflowed (reported as inf)"]
+        assert capsys.readouterr().err.endswith("error: numerical overflow left no finite NSD\n")
+
 
 class TestMalformedGrids:
     """Inputs that once escaped as tracebacks end with exit 2 and an error line."""
@@ -388,6 +401,20 @@ class TestRefusedBeforeAnyWork:
         assert not (tmp_path / "out.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize-bandwidth", "--fractions", "0.5,0.9"], "fraction grid must contain 1.0"),
+            (["sweep", "--axis", "bandwidth", "--values", "0,0.5"], "filter fraction 0.0 outside (0, 1]"),
+        ],
+        ids=["fractions-flag", "bandwidth-axis"],
+    )
+    def test_bad_search_grid_exits_2(self, config, tmp_path, capsys, argv, message):
+        """The grid a search is handed is checked before its benchmark is shaped."""
+        assert main(argv + ["--config", config(), "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("step", ["0", "nan"])
     @pytest.mark.parametrize(
         "argv",
@@ -458,31 +485,23 @@ class TestRefusedBeforeAnyWork:
         assert err.startswith("error: out of memory: 99999999999999999999999 seeds of ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("fraction", ["optimize", "0.8"])
     @pytest.mark.parametrize(
-        "extra, argv",
+        "power, argv",
         [
-            ("optimize_fractions = 0.5:0.00001:1.0\n", ["optimize-bandwidth"]),
-            ("", ["optimize-bandwidth", "--fractions", "0.5:0.00001:1.0"]),
-            ("", ["sweep", "--axis", "bandwidth", "--values", FINE_GRID]),
+            ("-1e308", ["propagate"]),
+            ("-1e308", ["optimize-bandwidth"]),
+            ("-1e308", ["sweep", "--axis", "dt", "--values", "6"]),
+            ("6", ["sweep", "--axis", "power", "--values", "6,-1e308"]),
         ],
-        ids=["file", "fractions-flag", "bandwidth-axis"],
+        ids=["propagate", "optimize", "dt-axis", "power-axis"],
     )
-    def test_candidate_stack_beyond_physical_memory_exits_2(
-        self, tmp_path, capsys, monkeypatch, fraction, extra, argv
-    ):
-        """50,001 responses of 4,096 candidate samples stack about 3.3 GB, refused
-        from the count alone: here against a patched 1 GiB of memory."""
-        monkeypatch.setattr(harness, "_physical_bytes", lambda: 2**30)
-        text = TINY.format(fraction=fraction).replace("n_symbols = 16", "n_symbols = 512")
-        (tmp_path / "stack.txt").write_text(
-            text.replace("candidate_spp = 6", "candidate_spp = 8") + extra, encoding="utf-8"
-        )
-        assert main(argv + ["--config", "stack.txt", "--out", "out.csv"]) == 2
+    def test_power_that_underflows_to_0_w_exits_2(self, tmp_path, capsys, power, argv):
+        """10 ** (-1e308 / 10) W is 0 W, a launch with no signal; the launch refuses it."""
+        with open("power.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="0.8").replace("power_dbm = 6", f"power_dbm = {power}"))
+        assert main(argv + ["--config", "power.txt", "--out", "out.csv"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: 2 seeds of 512 symbols at 12 samples per ")
-        assert "and 50001 filter fractions need about 3.0" in err
-        assert len(err.splitlines()) == 1
+        assert err == "error: power_dbm -1e+308 is too small to express in watts\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3a"])

@@ -23,7 +23,7 @@ from ssfmlab import (
     shape_pulse,
 )
 from ssfmlab.engine import BLOCK_BYTES, run_segments
-from conftest import replace
+from conftest import energy, replace
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 FIBER = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0)
@@ -187,7 +187,7 @@ class TestPropagate:
 
     def test_energy_conserved_without_attenuation(self, small_waveform):
         out = propagate(small_waveform, FIBER, SsfmConfig.from_step(100.0, 10.0))
-        assert out.energy() == pytest.approx(small_waveform.energy(), rel=1e-12)
+        assert energy(out) == pytest.approx(energy(small_waveform), rel=1e-12)
 
     def test_unfiltered_run_is_bitwise_traditional_ssfm(self, small_waveform):
         out = propagate(small_waveform, FIBER, SsfmConfig.from_step(100.0, 5.0))
@@ -222,7 +222,16 @@ class TestPropagate:
         cfg = SsfmConfig.from_step(500.0, 10.0)
         with pytest.raises(NumericalOverflowError) as exc:
             propagate(small_waveform, fiber, cfg)
-        assert 0 <= exc.value.segment < cfg.n_seg
+        assert 1 <= exc.value.segment <= cfg.n_seg
+
+    def test_overflow_in_the_first_segment_is_segment_1(self, small_waveform):
+        """Segments are counted from 1: a gain beyond float range in every
+        segment leaves the field non-finite after the first one."""
+        fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=10.0, alpha=-1e4)
+        with pytest.raises(NumericalOverflowError) as exc:
+            propagate(small_waveform, fiber, SsfmConfig.from_step(10.0, 1.0))
+        assert exc.value.segment == 1
+        assert str(exc.value) == "non-finite field values after segment 1"
 
     def test_deterministic(self, small_waveform):
         a = propagate(small_waveform, FIBER, SsfmConfig.from_step(100.0, 5.0))

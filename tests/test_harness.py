@@ -204,6 +204,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             tiny_scenario(candidate_dz_km=0.1)  # benchmark_dz_km is 0.5
 
+    def test_memory_bound_reads_no_fraction_grid(self, monkeypatch):
+        """Candidate responses are built a row block at a time, so 50,001
+        fractions of 4,096 candidate samples (3.3 GB as one stack) weigh
+        nothing in the bound: the scenario builds under 1 GiB of memory."""
+        monkeypatch.setattr("ssfmlab.harness._physical_bytes", lambda: 2**30)
+        grid = parse_fraction_spec("0.5:0.00001:1.0")
+        scenario = tiny_scenario(n_symbols=512, candidate_spp=8, optimize_fractions=grid)
+        assert len(scenario.optimize_fractions) == 50001
+
 
 class TestRunScenario:
     """One scenario evaluated as a one-point sweep at its own span."""
@@ -247,7 +256,7 @@ class TestRunScenario:
             benchmark_dz_km=10.0,
             filter_fraction=1.0,
         )
-        with caplog.at_level(logging.WARNING, logger="ssfmlab.harness"):
+        with caplog.at_level(logging.WARNING, logger="ssfmlab.bandwidth"):
             result = self.run(scenario)
         assert math.isinf(result.nsd_with_lpf[0])
         assert any("overflowed" in record.message for record in caplog.records)

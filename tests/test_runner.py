@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ class TestFractionNsds:
             for j in range(grid.shape[0]):
                 for seed in range(5):
                     assert grid[j, k, seed] == alone[j, 0, seed], (j, fraction, seed)
+
+    def test_holds_no_response_per_fraction(self):
+        """Each row block builds its own rows' responses, so a 501-fraction
+        grid never holds the 12.3 MB that one response per fraction takes."""
+        scenario = tiny_scenario(  # 1,536 candidate samples, one 2 km segment
+            fiber=FiberParams(beta2=-21.7, gamma=1.27, span_km=2.0), n_symbols=256, seeds=(0,)
+        )
+        fractions = tuple(round(0.5 + i * 0.001, 12) for i in range(501))
+        launch = runner.shaped_fields(scenario)
+        bench = runner.benchmark_fields(scenario)
+        stack_bytes = len(fractions) * scenario.candidate_grid.n_samples * 16
+        tracemalloc.start()
+        try:
+            values = runner.fraction_nsds(scenario, fractions, launch, bench, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (1, 501, 1) and np.all(np.isfinite(values))
+        assert peak < stack_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
-"""The package's public surface: every ``__all__`` entry exists, and the
-call shapes the bench scripts use still bind."""
+"""The package's public surface: every ``__all__`` entry exists, every
+public function and method has a caller, and the call shapes the bench
+scripts use still bind."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,37 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", namespace)  # a stale __all__ entry raises here
     module = importlib.import_module(name)
     assert set(module.__all__) <= set(namespace)
+
+
+def _public_names():
+    """(qualified name, pattern) of every public function of ``ssfmlab`` and
+    every public method or property of its public classes; a method or
+    property is matched as ``.name``."""
+    names = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) != name:
+                continue
+            if inspect.isfunction(value):  # any line but its own def line
+                names.append((f"{name}.{attr}", rf"^(?!\s*def {attr}\b).*\b{attr}\b"))
+            elif inspect.isclass(value):
+                for member, raw in vars(value).items():
+                    if member.startswith("_"):
+                        continue
+                    if isinstance(raw, (property, classmethod, staticmethod)) or inspect.isfunction(raw):
+                        names.append((f"{name}.{attr}.{member}", rf"\.{member}\b"))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only tests use is surface to delete: each must be
+    named in the package outside its own ``def`` line, or in ``bench/``."""
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "ssfmlab").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    uncalled = [name for name, pattern in _public_names() if not re.search(pattern, text, re.M)]
+    assert uncalled == []
 
 
 def _bound(fn, *args, **kwargs):
