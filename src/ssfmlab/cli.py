@@ -183,35 +183,30 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
+    jobs = [
+        dataclasses.replace(job, base=_apply_overrides(job.base, args))
+        for job in harness.preset_jobs(args.preset, desk_scale=args.desk_scale)
+    ]
     prefix = args.out or args.preset
+    named = prefix.endswith(".csv")  # the path of a single CSV or fig2's summary, not a prefix
+    stem = prefix[: -len(".csv")] if named else prefix
     written: list[str] = []
     all_values: list[float] = []
-    if args.preset == "fig2":
-        summary, traces = harness.reproduce_fig2(
-            desk_scale=args.desk_scale, seeds=seeds, threads=args.threads
-        )
-        out = prefix if prefix.endswith(".csv") else f"{prefix}_summary.csv"
-        stem = out[: -len("_summary.csv")] if out.endswith("_summary.csv") else out[: -len(".csv")]
-        harness.emit_csv(summary, out)
+    for job in jobs:
+        if args.preset == "fig2":
+            result, traces = harness.reproduce_fig2(job, threads=args.threads)
+            out = prefix if named else f"{stem}_summary.csv"
+            trace_stem = stem.removesuffix("_summary") if named else stem
+        else:
+            result, traces = harness.sweep(job.axis, job.base, job.values, threads=args.threads), {}
+            out = f"{stem}.csv" if len(jobs) == 1 else f"{stem}_{job.label}.csv"
+        harness.emit_csv(result, out)
         written.append(out)
         for label, wave in traces.items():
-            trace_path = f"{stem}_trace_{label}.csv"
+            trace_path = f"{trace_stem}_trace_{label}.csv"
             harness.write_trace_csv(wave, trace_path)
             written.append(trace_path)
-        all_values = list(summary.nsd_without_lpf + summary.nsd_with_lpf)
-    else:
-        jobs = harness.preset_jobs(args.preset, desk_scale=args.desk_scale, seeds=seeds)
-        for job in jobs:
-            result = harness.sweep(job.axis, job.base, job.values, threads=args.threads)
-            if len(jobs) == 1:
-                out = prefix if prefix.endswith(".csv") else f"{prefix}.csv"
-            else:
-                base = prefix[: -len(".csv")] if prefix.endswith(".csv") else prefix
-                out = f"{base}_{job.label}.csv"
-            harness.emit_csv(result, out)
-            written.append(out)
-            all_values.extend(result.nsd_without_lpf + result.nsd_with_lpf)
+        all_values.extend(result.nsd_without_lpf + result.nsd_with_lpf)
     for path in written:
         print(f"wrote {path}")
     return _exit_status(all_values)

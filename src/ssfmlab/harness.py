@@ -36,7 +36,6 @@ __all__ = [
     "emit_csv",
     "write_trace_csv",
     "preset_jobs",
-    "fig2_scenario",
     "reproduce_fig2",
 ]
 
@@ -47,7 +46,6 @@ _AXIS_COLUMNS = {
     "bandwidth": "filter_fraction",
 }
 AXES = tuple(_AXIS_COLUMNS)
-PRESETS = ("fig2", "fig3a", "fig3b", "fig3c", "fig3d")
 
 OPTIMIZE = "optimize"
 
@@ -120,6 +118,8 @@ class Scenario:
             )
         _check_memory(self, copies=3)
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        if min(self.seeds) < 0:
+            raise ScenarioError(f"seeds must be non-negative, got {min(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ScenarioError("seed list contains duplicates")
         if self.candidate_spp > self.benchmark_spp:
@@ -291,12 +291,16 @@ def seed_run(scenario: Scenario, seed: int, fraction: float) -> Waveform:
     return propagate(wave, scenario.fiber, cfg)
 
 
-def _columns(scenario: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
-    """(NSD without filter, NSD with the chosen filter, chosen fraction) of one point."""
-    if scenario.filter_fraction == OPTIMIZE:
-        return result.value_at(1.0), result.best_nsd, result.best_fraction
-    fraction = float(scenario.filter_fraction)
+def _row(result: bandwidth.BandwidthSweep, fraction: float) -> tuple[float, float, float]:
+    """One sweep CSV row: (NSD without filter, NSD at ``fraction``, ``fraction``)."""
     return result.value_at(1.0), result.value_at(fraction), fraction
+
+
+def _chosen(scenario: Scenario, result: bandwidth.BandwidthSweep) -> float:
+    """The fraction a point reports: its best one when optimizing, else its pinned one."""
+    if scenario.filter_fraction == OPTIMIZE:
+        return result.best_fraction
+    return float(scenario.filter_fraction)
 
 
 def _at_span(scenario: Scenario, span_km: float) -> Scenario:
@@ -318,13 +322,8 @@ def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
 def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -> SweepResult:
     """NSD at each of the filter fractions ``values``, next to the fraction 1.0 NSD."""
     fractions = tuple(float(v) for v in values)
-    return SweepResult(
-        axis_name=_AXIS_COLUMNS["bandwidth"],
-        axis_values=fractions,
-        nsd_without_lpf=(result.value_at(1.0),) * len(fractions),
-        nsd_with_lpf=tuple(result.value_at(f) for f in fractions),
-        chosen_fractions=fractions,
-    )
+    without, with_lpf, chosen = zip(*(_row(result, f) for f in fractions))
+    return SweepResult(_AXIS_COLUMNS["bandwidth"], fractions, without, with_lpf, chosen)
 
 
 def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) -> SweepResult:
@@ -386,7 +385,7 @@ def _sweep_points(
         )
         for span, result in zip(spans, sweeps):
             results[_at_span(run, span)] = result
-    without, with_lpf, chosen = zip(*(_columns(p, results[p]) for p in points))
+    without, with_lpf, chosen = zip(*(_row(results[p], _chosen(p, results[p])) for p in points))
     return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields
 
 
@@ -441,73 +440,57 @@ class SweepJob:
 
 
 def _preset_scenario(
-    spp: int,
-    power_dbm: float,
-    desk_scale: bool,
-    desk_seeds: int,
-    seeds: Sequence[int] | None,
-    span_km: float = 1000.0,
-    dz_km: float = 0.1,
+    spp: int, power_dbm: float, desk_scale: bool, desk_seeds: int, span_km: float, dz_km: float
 ) -> Scenario:
     """An optimizing preset scenario at full scale (256 symbols, 20 seeds, 0.01
     fraction grid) or desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 grid)."""
-    n_symbols, default_seeds, step = (64, desk_seeds, 0.05) if desk_scale else (256, 20, 0.01)
+    n_symbols, n_seeds, step = (64, desk_seeds, 0.05) if desk_scale else (256, 20, 0.01)
     return Scenario(
         fiber=FiberParams(span_km=span_km),
         launch=LaunchSpec(power_dbm=power_dbm),
         candidate_spp=spp,
         candidate_dz_km=dz_km,
         n_symbols=n_symbols,
-        seeds=range(default_seeds) if seeds is None else seeds,
+        seeds=range(n_seeds),
         optimize_fractions=bandwidth.default_fractions(step),
     )
 
 
-# name: axis, desk seed count, then per scale (full, desk) the (spp, dBm) curve
-# of each job and the axis values (None: the job's fraction grid)
+# name: axis, desk seed count, span and step in km, then per scale (full, desk)
+# the (spp, dBm) curve of each job and the axis values (None: the job's
+# fraction grid)
 _PRESET_TABLE = {
-    "fig3a": ("distance", 10, ((16, 10.0),), ((16, 10.0),),
+    "fig2": ("dt", 6, 600.0, 1.5, ((30, 9.6),), ((30, 9.6),),
+             (30.0, 10.0, 8.0, 6.0, 4.0), (30.0, 10.0, 8.0, 6.0, 4.0)),
+    "fig3a": ("distance", 10, 1000.0, 0.1, ((16, 10.0),), ((16, 10.0),),
               tuple(float(z) for z in range(100, 1001, 100)), (200.0, 600.0, 1000.0)),
-    "fig3b": ("power", 6, ((8, 6.0),), ((8, 6.0),),
+    "fig3b": ("power", 6, 1000.0, 0.1, ((8, 6.0),), ((8, 6.0),),
               tuple(round(5.4 + 0.3 * i, 12) for i in range(9)), (5.4, 6.6, 7.8)),
-    "fig3c": ("dt", 10, ((16, 10.0),), ((16, 10.0),),
+    "fig3c": ("dt", 10, 1000.0, 0.1, ((16, 10.0),), ((16, 10.0),),
               (21.0, 20.0, 18.0, 16.0, 15.0, 14.0), (20.0, 16.0, 14.0)),
-    "fig3d": ("bandwidth", 10, ((16, 10.0), (17, 10.0), (8, 6.3), (7, 6.3)),
+    "fig3d": ("bandwidth", 10, 1000.0, 0.1, ((16, 10.0), (17, 10.0), (8, 6.3), (7, 6.3)),
               ((16, 10.0), (8, 6.3)), None, None),
 }
+PRESETS = tuple(_PRESET_TABLE)
 
 
-def preset_jobs(
-    name: str, desk_scale: bool = False, seeds: Sequence[int] | None = None
-) -> list[SweepJob]:
-    """Sweep jobs for the named preset (``fig2`` has its own entry point)."""
+def preset_jobs(name: str, desk_scale: bool = False) -> list[SweepJob]:
+    """Sweep jobs for the named preset (``fig2`` runs its job with :func:`reproduce_fig2`)."""
     if name not in _PRESET_TABLE:
         raise ScenarioError(f"unknown preset {name!r}; expected one of {PRESETS}")
-    axis, desk_seeds, curves, desk_curves, values, desk_values = _PRESET_TABLE[name]
+    axis, desk_seeds, span_km, dz_km, curves, desk_curves, values, desk_values = _PRESET_TABLE[name]
     if desk_scale:
         curves, values = desk_curves, desk_values
     jobs = []
     for spp, power_dbm in curves:
-        base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, seeds)
+        base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, span_km, dz_km)
         label = name if len(curves) == 1 else f"{name}_spp{spp}_{power_dbm}dbm"
         jobs.append(SweepJob(label, axis, values or base.optimize_fractions, base))
     return jobs
 
 
-FIG2_SPP = (30, 10, 8, 6, 4)
-
-
-def fig2_scenario(
-    spp: int, desk_scale: bool = False, seeds: Sequence[int] | None = None
-) -> Scenario:
-    """The ``fig2`` study at ``spp`` samples per symbol: 9.6 dBm, 600 km, 1.5 km steps."""
-    return _preset_scenario(spp, 9.6, desk_scale, 6, seeds, span_km=600.0, dz_km=1.5)
-
-
-def reproduce_fig2(
-    desk_scale: bool = False, seeds: Sequence[int] | None = None, threads: int = 0
-) -> tuple[SweepResult, dict[str, Waveform]]:
-    """Time-discretization study of :func:`fig2_scenario` over :data:`FIG2_SPP`.
+def reproduce_fig2(job: SweepJob, threads: int = 0) -> tuple[SweepResult, dict[str, Waveform]]:
+    """Time-discretization study: the ``fig2`` job run at each of its samples per symbol.
 
     Returns the per-spp NSD summary (unfiltered vs bandwidth-optimized) and
     first-seed output traces: the benchmark plus an unfiltered and a filtered
@@ -515,11 +498,10 @@ def reproduce_fig2(
     resolution but not at its step, so their gap to the benchmark is the
     1.5 km split error, the floor the coarser rows are measured against.
     """
-    points = [fig2_scenario(spp, desk_scale, seeds) for spp in FIG2_SPP]
-    spp_values = tuple(float(spp) for spp in FIG2_SPP)
-    summary, bench_fields = _sweep_points("samples_per_symbol", spp_values, points, threads)
-    span_km = points[0].fiber.span_km
-    bench_grid = points[0].benchmark_grid
+    points = [_substitute(job.base, job.axis, v) for v in job.values]
+    summary, bench_fields = _sweep_points("samples_per_symbol", job.values, points, threads)
+    span_km = job.base.fiber.span_km
+    bench_grid = job.base.benchmark_grid
     traces = {"benchmark": Waveform(samples=bench_fields[0, 0], grid=bench_grid, z_km=span_km)}
     for point, chosen in zip(points, summary.chosen_fractions):
         for suffix, fraction in (("unfiltered", 1.0), ("filtered", chosen)):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ssfmlab import (
+    PRESETS,
     FiberParams,
     LaunchSpec,
     SsfmConfig,
@@ -30,7 +31,7 @@ from ssfmlab import (
     sweep_bandwidth,
 )
 from ssfmlab.cli import main
-from ssfmlab.harness import FIG2_SPP, fig2_scenario, preset_jobs
+from ssfmlab.harness import preset_jobs
 
 from conftest import energy, tiny_scenario
 from reference_impl import analytic_dispersion, traditional_ssfm
@@ -55,8 +56,14 @@ def fig3d_results():
 
 
 @pytest.fixture(scope="module")
-def fig2_result():
-    return reproduce_fig2(desk_scale=True)
+def fig2_job():
+    (job,) = preset_jobs("fig2", desk_scale=True)
+    return job
+
+
+@pytest.fixture(scope="module")
+def fig2_result(fig2_job):
+    return reproduce_fig2(fig2_job)
 
 
 def test_criterion_01_dispersion_oracle():
@@ -102,7 +109,7 @@ def _preset_propagation_configs():
     seed, so each configuration is exercised at 16 symbols with seed 0.
     """
     configs = set()
-    for name in ("fig3a", "fig3b", "fig3c", "fig3d"):
+    for name in PRESETS:
         for job in preset_jobs(name, desk_scale=True):
             base = job.base
             points = [(base.candidate_spp, base.fiber.span_km, base.launch.power_dbm)]
@@ -115,11 +122,6 @@ def _preset_propagation_configs():
             for spp, span, power in points:
                 configs.add((spp, base.candidate_dz_km, span, power))
                 configs.add((base.benchmark_spp, base.benchmark_dz_km, span, power))
-    for spp in FIG2_SPP:
-        fig2 = fig2_scenario(spp, desk_scale=True)
-        span, power = fig2.fiber.span_km, fig2.launch.power_dbm
-        configs.add((spp, fig2.candidate_dz_km, span, power))
-        configs.add((fig2.benchmark_spp, fig2.benchmark_dz_km, span, power))
     return sorted(configs)
 
 
@@ -290,7 +292,7 @@ class TestFig2WaveformRegression:
             assert filtered < unfiltered, (spp, filtered, unfiltered)
         print("fig2 regression (filtered spp 8/6 beat unfiltered): PASS")
 
-    def test_reference_resolution_trace_matches_benchmark(self, fig2_result):
+    def test_reference_resolution_trace_matches_benchmark(self, fig2_result, fig2_job):
         """The spp=30 trace shares the benchmark's time grid but not its
         0.1 km step, so its gap to the benchmark is the 1.5 km split error.
         The trace must be the plain split-step run of the seed-0 launch, the
@@ -300,7 +302,7 @@ class TestFig2WaveformRegression:
         _, traces = fig2_result
         benchmark = traces["benchmark"]
         trace = traces["spp30_unfiltered"]
-        scenario = fig2_scenario(30, desk_scale=True)
+        scenario = fig2_job.base
         fiber, launch, dz_km = scenario.fiber, scenario.launch, scenario.candidate_dz_km
         grid = make_grid(scenario.n_symbols, scenario.candidate_spp, launch.symbol_time)
         wave = shape_pulse(gen_symbols(scenario.seeds[0], scenario.n_symbols), grid, launch)
@@ -332,7 +334,7 @@ class TestFig2WaveformRegression:
 
         # the 30-spp trace is the floor every coarser grid is measured against
         coarser = {
-            spp: nsd(benchmark, traces[f"spp{spp}_unfiltered"]) for spp in FIG2_SPP[1:]
+            spp: nsd(benchmark, traces[f"spp{spp:g}_unfiltered"]) for spp in fig2_job.values[1:]
         }
         assert all(gaps[0] < value for value in coarser.values()), (
             f"spp=30 NSD {gaps[0]:.3e} is not below every coarser unfiltered trace: "

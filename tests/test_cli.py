@@ -310,6 +310,7 @@ class TestRefusedBeforeAnyWork:
             raise AssertionError("work started")
 
         monkeypatch.setattr(runner, "_shaped_batch", refuse)
+        monkeypatch.setattr(harness, "shape_pulse", refuse)
         monkeypatch.setattr(engine, "run_segments", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
 
@@ -510,6 +511,28 @@ class TestRefusedBeforeAnyWork:
         assert main(["reproduce", preset, "--desk-scale", "--seeds", "0"]) == 2
         assert capsys.readouterr().err == "error: seed list is empty\n"
 
+    @pytest.mark.parametrize(
+        "seeds, argv",
+        [
+            ("2,-1", ["propagate", "--config", "seeds.txt"]),
+            ("-1,2", ["propagate", "--config", "seeds.txt"]),
+            ("2,-1", ["nsd", "seeds.txt", "seeds.txt"]),
+            ("2,-1", ["sweep", "--axis", "dt", "--values", "6", "--config", "seeds.txt"]),
+            ("2,-1", ["optimize-bandwidth", "--config", "seeds.txt"]),
+            ("2", ["optimize-bandwidth", "--config", "seeds.txt", "--seeds", "0,-1"]),
+        ]
+        + [("2", ["reproduce", p, "--desk-scale", "--seeds", "0,-1"]) for p in harness.PRESETS],
+        ids=["propagate", "propagate-first-seed", "nsd", "sweep", "optimize", "optimize-override"]
+        + [f"reproduce-{p}" for p in harness.PRESETS],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seeds, argv):
+        """A negative seed is refused by the scenario, with its key named."""
+        with open("seeds.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="0.8").replace("seeds = 2", f"seeds = {seeds}"))
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == "error: seeds must be non-negative, got -1\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestReproduce:
     def test_fig2_writes_summary_and_traces(self, tmp_path):
@@ -526,6 +549,26 @@ class TestReproduce:
     def test_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig7"])
+
+    @pytest.mark.parametrize("preset", harness.PRESETS)
+    def test_seed_override_reaches_every_job(self, monkeypatch, preset):
+        """``--seeds`` reaches every job of a preset, as it reaches any other command's scenario."""
+        seen = []
+        result = harness.SweepResult("axis", (1.0,), (0.5,), (0.25,), (1.0,))
+
+        def record_sweep(axis, base, values, threads=0):
+            seen.append(base.seeds)
+            return result
+
+        def record_fig2(job, threads=0):
+            seen.append(job.base.seeds)
+            return result, {}
+
+        monkeypatch.setattr(harness, "sweep", record_sweep)
+        monkeypatch.setattr(harness, "reproduce_fig2", record_fig2)
+        assert main(["reproduce", preset, "--desk-scale", "--seeds", "3,5"]) == 0
+        assert seen == [(3, 5)] * len(harness.preset_jobs(preset, desk_scale=True))
+        assert len(seen) == (2 if preset == "fig3d" else 1)
 
 
 # --------------------------------------------------------------------------
@@ -550,12 +593,11 @@ _OUTS = ["out.csv", "", ".", "missing/out.csv"]
 _preset_scenario = harness._preset_scenario
 
 
-def _tiny_preset(spp, power_dbm, desk_scale, desk_seeds, seeds, span_km=1000.0, dz_km=0.1):
-    """A preset point at 8 symbols, 2 default seeds and 100-fold steps."""
-    base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, seeds, span_km, dz_km)
+def _tiny_preset(spp, power_dbm, desk_scale, desk_seeds, span_km, dz_km):
+    """A preset point at 8 symbols, 2 seeds and 100-fold steps."""
+    base = _preset_scenario(spp, power_dbm, desk_scale, desk_seeds, span_km, dz_km)
     return dataclasses.replace(
-        base, n_symbols=8, seeds=range(2) if seeds is None else base.seeds,
-        candidate_dz_km=100 * dz_km, benchmark_dz_km=100 * dz_km,
+        base, n_symbols=8, seeds=range(2), candidate_dz_km=100 * dz_km, benchmark_dz_km=100 * dz_km
     )
 
 

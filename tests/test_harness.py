@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 from pathlib import Path
@@ -25,8 +26,7 @@ from ssfmlab.harness import (
     _KEYS,
     _OPTIONAL_KEYS,
     _REQUIRED_KEYS,
-    FIG2_SPP,
-    fig2_scenario,
+    PRESETS,
     parse_fraction_spec,
     parse_seed_spec,
 )
@@ -417,8 +417,21 @@ class TestCsvOutput:
 
 class TestPresets:
     def test_preset_names(self):
-        for name in ("fig3a", "fig3b", "fig3c", "fig3d"):
+        assert PRESETS == ("fig2", "fig3a", "fig3b", "fig3c", "fig3d")
+        for name in PRESETS:
             assert preset_jobs(name, desk_scale=True)
+            assert preset_jobs(name)
+
+    def test_time_discretization_study(self):
+        for desk_scale, n_seeds in ((True, 6), (False, 20)):
+            (job,) = preset_jobs("fig2", desk_scale=desk_scale)
+            assert (job.label, job.axis) == ("fig2", "dt")
+            assert job.values == (30.0, 10.0, 8.0, 6.0, 4.0)
+            assert job.base.candidate_spp == 30
+            assert job.base.launch.power_dbm == 9.6
+            assert job.base.fiber.span_km == 600.0
+            assert job.base.candidate_dz_km == 1.5
+            assert job.base.seeds == tuple(range(n_seeds))
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError):
@@ -462,27 +475,27 @@ class TestPresets:
         assert all(j.axis == "bandwidth" for j in jobs)
         assert all(j.values[-1] == 1.0 for j in jobs)
 
-    def test_seed_override(self):
-        (job,) = preset_jobs("fig3a", desk_scale=True, seeds=(7, 9))
-        assert job.base.seeds == (7, 9)
-
     def test_fiber_parameters_shared_by_all_presets(self):
-        for name in ("fig3a", "fig3b", "fig3c", "fig3d"):
+        for name in PRESETS:
             for job in preset_jobs(name, desk_scale=True):
                 assert job.base.fiber.beta2 == -21.7
                 assert job.base.fiber.gamma == 1.27
                 assert job.base.fiber.alpha == 0.0
 
 
-FIG2_SEEDS = (0,)
+@pytest.fixture(scope="module")
+def fig2_job():
+    """The desk-scale ``fig2`` job on seed 0 alone."""
+    (job,) = preset_jobs("fig2", desk_scale=True)
+    return dataclasses.replace(job, base=replace(job.base, seeds=(0,)))
 
 
 @pytest.fixture(scope="module")
-def fig2_run():
-    """``reproduce_fig2`` at desk scale, with the benchmark runs it made."""
+def fig2_run(fig2_job):
+    """``reproduce_fig2`` of :func:`fig2_job`, with the benchmark runs it made."""
     with pytest.MonkeyPatch.context() as patch:
         calls = TestSweep._count_benchmark_runs(patch)
-        result = reproduce_fig2(desk_scale=True, seeds=FIG2_SEEDS)
+        result = reproduce_fig2(fig2_job)
     return result, calls
 
 
@@ -515,16 +528,16 @@ class TestReproduceFig2:
         without = summary.nsd_without_lpf
         assert without[1] < without[2] < without[3] < without[4]
 
-    def test_summary_is_the_dt_sweep_of_the_30_spp_scenario(self, fig2):
+    def test_summary_is_the_dt_sweep_of_the_30_spp_scenario(self, fig2, fig2_job):
         summary, _ = fig2
-        dt = sweep("dt", fig2_scenario(30, True, FIG2_SEEDS), FIG2_SPP)
+        dt = sweep("dt", fig2_job.base, fig2_job.values)
         assert summary.nsd_without_lpf == dt.nsd_without_lpf
         assert summary.nsd_with_lpf == dt.nsd_with_lpf
         assert summary.chosen_fractions == dt.chosen_fractions
 
-    def test_benchmark_trace_is_row_0_of_the_benchmark(self, fig2):
+    def test_benchmark_trace_is_row_0_of_the_benchmark(self, fig2, fig2_job):
         _, traces = fig2
-        fields = runner.benchmark_fields(fig2_scenario(30, True, FIG2_SEEDS))
+        fields = runner.benchmark_fields(fig2_job.base)
         assert np.array_equal(traces["benchmark"].samples, fields[0, 0])
 
     def test_all_resolutions_share_one_benchmark_run(self, fig2_run):

@@ -73,3 +73,13 @@ def test_bench_call_shapes_bind():
     arguments = _bound(engine.propagate, "wave", "fiber", "cfg")
     assert arguments == {"wave": "wave", "fiber": "fiber", "cfg": "cfg"}
     assert _bound(harness.emit_csv, "result", "path")["result"] == "result"
+
+
+def test_readme_names_every_preset_and_axis():
+    """README's preset table has one row per preset, and its ``sweep`` axes
+    list one entry per axis, in the package's order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Presets\n", 1)[1].split("\n#", 1)[0]
+    assert tuple(re.findall(r"^\| `([\w-]+)` \|", table, re.M)) == harness.PRESETS
+    axes = readme.split("`sweep` axes:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^- `(\w+)`:", axes, re.M)) == harness.AXES
