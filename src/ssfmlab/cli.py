@@ -12,6 +12,7 @@ import dataclasses
 import logging
 import math
 import operator
+import os
 import sys
 from typing import Sequence
 
@@ -89,6 +90,13 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _writable(path: str | None) -> str | None:
+    """``path``, refused (exit 4) before any work if it is a folder or its folder is missing."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise OSError(f"cannot write {path}: it is a folder or its folder does not exist")
+    return path
+
+
 def _require_numeric_fraction(scenario: Scenario, command: str) -> float:
     if scenario.filter_fraction == OPTIMIZE:
         raise ScenarioError(
@@ -100,7 +108,7 @@ def _require_numeric_fraction(scenario: Scenario, command: str) -> float:
 
 def cmd_propagate(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
-    out = args.out or "propagate.csv"
+    out = _writable(args.out or "propagate.csv")
     fraction = _require_numeric_fraction(scenario, "propagate")
     wave = harness.seed_run(scenario, scenario.seeds[0], fraction)
     harness.write_trace_csv(wave, out)
@@ -125,6 +133,7 @@ def cmd_nsd(args: argparse.Namespace) -> int:
             raise ScenarioError(f"run specs disagree on {key}")
     ref_fraction = _require_numeric_fraction(reference, "nsd")
     cand_fraction = _require_numeric_fraction(candidate, "nsd")
+    out = _writable(args.out)
     values = []
     for seed in reference.seeds:
         try:
@@ -135,9 +144,8 @@ def cmd_nsd(args: argparse.Namespace) -> int:
             values.append(math.inf)
     mean = sum(values) / len(values)
     print(f"nsd = {harness._fmt(mean)} over {len(values)} seed(s)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("nsd\n" + harness._fmt(mean) + "\n")
+    if out:
+        harness._write_csv(out, "nsd", [[harness._fmt(mean)]])
     return _exit_status([mean])
 
 
@@ -160,8 +168,8 @@ def _exit_status(values: Sequence[float]) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
     values = _parse_values(args.values, args.axis)
+    out = _writable(args.out or f"sweep_{args.axis}.csv")
     result = harness.sweep(args.axis, scenario, values, threads=args.threads)
-    out = args.out or f"sweep_{args.axis}.csv"
     harness.emit_csv(result, out)
     print(f"wrote {out}")
     return _exit_status(result.nsd_without_lpf + result.nsd_with_lpf)
@@ -170,15 +178,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
     fractions = harness.parse_fraction_spec(args.fractions) if args.fractions else None
+    out = _writable(args.out)
     (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
     print(
         f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
         f"with nsd = {harness._fmt(result.best_nsd)} "
         f"(unfiltered nsd = {harness._fmt(result.value_at(1.0))})"
     )
-    if args.out:
-        harness.emit_csv(harness.bandwidth_table(result, result.fractions), args.out)
-        print(f"wrote {args.out}")
+    if out:
+        harness.emit_csv(harness.bandwidth_table(result, result.fractions), out)
+        print(f"wrote {out}")
     return _exit_status(result.nsd_values)
 
 
@@ -190,25 +199,22 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     prefix = args.out or args.preset
     named = prefix.endswith(".csv")  # the path of a single CSV or fig2's summary, not a prefix
     stem = prefix[: -len(".csv")] if named else prefix
-    written: list[str] = []
     all_values: list[float] = []
-    for job in jobs:
+    for job in jobs:  # each job's CSV path is checked before the job runs
         if args.preset == "fig2":
-            result, traces = harness.reproduce_fig2(job, threads=args.threads)
-            out = prefix if named else f"{stem}_summary.csv"
+            out = _writable(prefix if named else f"{stem}_summary.csv")
             trace_stem = stem.removesuffix("_summary") if named else stem
+            result, traces = harness.reproduce_fig2(job, threads=args.threads)
         else:
+            out = _writable(f"{stem}.csv" if len(jobs) == 1 else f"{stem}_{job.label}.csv")
             result, traces = harness.sweep(job.axis, job.base, job.values, threads=args.threads), {}
-            out = f"{stem}.csv" if len(jobs) == 1 else f"{stem}_{job.label}.csv"
         harness.emit_csv(result, out)
-        written.append(out)
+        print(f"wrote {out}")
         for label, wave in traces.items():
             trace_path = f"{trace_stem}_trace_{label}.csv"
             harness.write_trace_csv(wave, trace_path)
-            written.append(trace_path)
+            print(f"wrote {trace_path}")
         all_values.extend(result.nsd_without_lpf + result.nsd_with_lpf)
-    for path in written:
-        print(f"wrote {path}")
     return _exit_status(all_values)
 
 

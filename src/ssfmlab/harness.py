@@ -13,7 +13,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class Scenario:
     benchmark_grid: SamplingGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_symbols < 1:
-            raise ScenarioError(f"n_symbols must be positive, got {self.n_symbols}")
         if not self.seeds:
             raise ScenarioError("seed list is empty")
         if isinstance(self.filter_fraction, str):
@@ -257,11 +255,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"key {key!r}: {exc}") from exc
     try:
         fiber, launch = FiberParams(**given["fiber"]), LaunchSpec(**given["launch"])
-        return Scenario(fiber=fiber, launch=launch, **given[""])
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(str(exc)) from exc
+    return Scenario(fiber=fiber, launch=launch, **given[""])
 
 
 def load_scenario(path: str) -> Scenario:
@@ -340,9 +336,8 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) 
     """
     if axis not in AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
-    column = _AXIS_COLUMNS[axis]
     if len(values) == 0:
-        return SweepResult(column, (), (), (), ())
+        raise ScenarioError(f"no values to sweep on axis {axis!r}")
 
     if axis == "bandwidth":
         grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
@@ -351,7 +346,7 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) 
 
     points = [_substitute(base, axis, float(v)) for v in values]
     axis_values = tuple(100.0 / float(v) if axis == "dt" else float(v) for v in values)
-    return _sweep_points(column, axis_values, points, threads)[0]
+    return _sweep_points(_AXIS_COLUMNS[axis], axis_values, points, threads)[0]
 
 
 def _sweep_points(
@@ -401,28 +396,25 @@ def _fmt_axis(value: float) -> str:
     return format(value, ".12g")
 
 
-def emit_csv(result: SweepResult, path: str) -> None:
-    """Write a sweep as CSV: one header line, one row per axis value."""
-    lines = [f"{result.axis_name},nsd_without_lpf,nsd_with_lpf,chosen_fraction"]
-    rows = zip(
-        result.axis_values,
-        result.nsd_without_lpf,
-        result.nsd_with_lpf,
-        result.chosen_fractions,
-    )
-    for value, without, with_lpf, fraction in rows:
-        lines.append(f"{_fmt_axis(value)},{_fmt(without)},{_fmt(with_lpf)},{_fmt_axis(fraction)}")
+def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
+    """Write one header line and one comma-joined line per row, LF-terminated."""
+    lines = [header] + [",".join(row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_csv(result: SweepResult, path: str) -> None:
+    """Write a sweep as CSV: one header line, one row per axis value."""
+    columns = (result.axis_values, result.nsd_without_lpf, result.nsd_with_lpf, result.chosen_fractions)
+    rows = ((_fmt_axis(v), _fmt(without), _fmt(with_lpf), _fmt_axis(f))
+            for v, without, with_lpf, f in zip(*columns))
+    _write_csv(path, f"{result.axis_name},nsd_without_lpf,nsd_with_lpf,chosen_fraction", rows)
 
 
 def write_trace_csv(wave: Waveform, path: str) -> None:
     """Write a waveform as CSV columns (t_ps, re, im)."""
-    lines = ["t_ps,re,im"]
-    for t, sample in zip(wave.grid.times(), wave.samples):
-        lines.append(f"{_fmt_axis(t)},{_fmt(sample.real)},{_fmt(sample.imag)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = zip(wave.grid.times(), wave.samples)
+    _write_csv(path, "t_ps,re,im", ((_fmt_axis(t), _fmt(x.real), _fmt(x.imag)) for t, x in rows))
 
 
 # --------------------------------------------------------------------------

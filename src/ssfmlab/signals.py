@@ -43,10 +43,6 @@ class SamplingGrid:
     dt: float  # ps
 
     @property
-    def n_symbols(self) -> int:
-        return self.n_samples // self.samples_per_symbol
-
-    @property
     def duration(self) -> float:
         return self.n_samples * self.dt
 
@@ -185,7 +181,7 @@ def shape_pulse(symbols: np.ndarray, grid: SamplingGrid, launch: LaunchSpec) -> 
     if len(symbols) * grid.samples_per_symbol != grid.n_samples:
         raise ValueError(
             f"sequence of {len(symbols)} symbols does not fill a grid of "
-            f"{grid.n_symbols} slots"
+            f"{grid.n_samples // grid.samples_per_symbol} slots"
         )
     train = np.zeros(grid.n_samples, dtype=np.complex128)
     train[:: grid.samples_per_symbol] = symbols

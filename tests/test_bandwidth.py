@@ -41,6 +41,12 @@ class TestSelectBest:
         fraction, value = _select_best((0.5, 1.0), (math.inf, math.inf))
         assert fraction == 1.0 and math.isinf(value)
 
+    def test_nan_minimum_reports_the_last_fraction(self):
+        """A sum of squares beyond float range makes an NSD NaN (inf / inf),
+        which equals no value; the grid's last fraction is reported."""
+        fraction, value = _select_best((0.5, 1.0), (math.nan, 2.0))
+        assert fraction == 1.0 and math.isnan(value)
+
 
 class TestSweepBandwidth:
     def test_result_shape_and_best_point(self):

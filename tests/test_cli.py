@@ -3,6 +3,7 @@ import dataclasses
 import io
 import logging
 import os
+import re
 import threading
 from unittest import mock
 
@@ -100,9 +101,16 @@ class TestNsd:
         reference = config("ref.txt", fraction="1.0")
         out = tmp_path / "value.csv"
         assert main(["nsd", reference, reference, "--out", str(out)]) == 0
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "nsd"
-        assert float(lines[1]) == 0.0  # identical specs
+        assert out.read_bytes() == b"nsd\n0.000000000000e+00\n"  # identical specs
+
+    def test_value_file_holds_the_printed_value(self, config, tmp_path, capsys):
+        """The file is a header line and the printed mean, 13 significant digits, LF-terminated."""
+        reference, candidate = config("ref.txt", fraction="1.0"), config("cand.txt")
+        out = tmp_path / "value.csv"
+        assert main(["nsd", reference, candidate, "--out", str(out)]) == 0
+        value = capsys.readouterr().out.split()[2]
+        assert re.fullmatch(r"[1-9]\.\d{12}e[+-]\d{2}", value)
+        assert out.read_bytes() == b"nsd\n" + value.encode() + b"\n"
 
     def test_rejects_mismatched_spans(self, config, tmp_path):
         reference = config("ref.txt", fraction="1.0")
@@ -505,6 +513,36 @@ class TestRefusedBeforeAnyWork:
         assert err == "error: power_dbm -1e+308 is too small to express in watts\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("axis", harness.AXES)
+    def test_empty_values_exit_2(self, config, tmp_path, capsys, axis):
+        """``--values ,`` names no point on any axis; it is refused, not swept to a bare header."""
+        assert main(["sweep", "--axis", axis, "--values", ",", "--config", config()]) == 2
+        assert capsys.readouterr().err == f"error: no values to sweep on axis '{axis}'\n"
+        assert not (tmp_path / f"sweep_{axis}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["propagate", "--config", "scenario.txt", "--out", "missing/trace.csv"],
+             "missing/trace.csv"),
+            (["nsd", "scenario.txt", "scenario.txt", "--out", "missing/nsd.csv"], "missing/nsd.csv"),
+            (["sweep", "--axis", "dt", "--values", "4", "--config", "scenario.txt"], "sweep_dt.csv"),
+            (["optimize-bandwidth", "--config", "scenario.txt", "--out", "d"], "d"),
+            (["reproduce", "fig2", "--desk-scale", "--out", "missing/"], "missing/_summary.csv"),
+            (["reproduce", "fig3b", "--desk-scale", "--out", "missing/x.csv"], "missing/x.csv"),
+        ],
+        ids=["propagate", "nsd", "sweep", "optimize", "reproduce-fig2", "reproduce-fig3b"],
+    )
+    def test_unwritable_output_exits_4(self, config, capsys, argv, path):
+        """An output path whose folder is missing, or that is itself a folder,
+        is refused before the run that would fill it."""
+        config()
+        os.mkdir("d")
+        os.mkdir("sweep_dt.csv")
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: it is a folder or its folder does not exist\n"
+
     @pytest.mark.parametrize("preset", ["fig2", "fig3a"])
     def test_empty_seed_override_exits_2(self, capsys, preset):
         """``--seeds 0`` asks for no seeds, not for the preset's default ones."""
@@ -535,9 +573,14 @@ class TestRefusedBeforeAnyWork:
 
 
 class TestReproduce:
-    def test_fig2_writes_summary_and_traces(self, tmp_path):
+    def test_fig2_writes_summary_and_traces(self, tmp_path, capsys):
         code = main(["reproduce", "fig2", "--desk-scale", "--seeds", "1", "--out", "fig2"])
         assert code == 0
+        traces = ["benchmark"] + [f"spp{spp}_{kind}" for spp in (30, 10, 8, 6, 4)
+                                  for kind in ("unfiltered", "filtered")]
+        assert capsys.readouterr().out.splitlines() == ["wrote fig2_summary.csv"] + [
+            f"wrote fig2_trace_{label}.csv" for label in traces
+        ]
         assert (tmp_path / "fig2_summary.csv").exists()
         assert (tmp_path / "fig2_trace_benchmark.csv").exists()
         for spp in (30, 10, 8, 6, 4):

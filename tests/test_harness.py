@@ -19,6 +19,7 @@ from ssfmlab import (
     preset_jobs,
     reproduce_fig2,
     sweep,
+    SweepResult,
     sweep_bandwidth,
     write_trace_csv,
 )
@@ -26,6 +27,7 @@ from ssfmlab.harness import (
     _KEYS,
     _OPTIONAL_KEYS,
     _REQUIRED_KEYS,
+    AXES,
     PRESETS,
     parse_fraction_spec,
     parse_seed_spec,
@@ -304,9 +306,9 @@ class TestSweep:
         assert result.nsd_with_lpf[1] == result.nsd_without_lpf[1]
 
     def test_empty_axis(self):
-        result = sweep("distance", tiny_scenario(), ())
-        assert result.axis_values == ()
-        assert result.nsd_without_lpf == ()
+        for axis in AXES:
+            with pytest.raises(ScenarioError, match=f"no values to sweep on axis '{axis}'"):
+                sweep(axis, tiny_scenario(), ())
 
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError):
@@ -387,7 +389,7 @@ class TestCsvOutput:
 
     def test_empty_sweep_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(sweep("power", tiny_scenario(), ()), str(path))
+        emit_csv(SweepResult("power_dbm", (), (), (), ()), str(path))
         assert path.read_text(encoding="utf-8") == "power_dbm,nsd_without_lpf,nsd_with_lpf,chosen_fraction\n"
 
     def test_bytes_are_reproducible(self, tmp_path):
@@ -399,7 +401,7 @@ class TestCsvOutput:
         assert b"\r" not in a.read_bytes()
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
-        result = sweep("power", tiny_scenario(), ())
+        result = SweepResult("power_dbm", (), (), (), ())
         with pytest.raises(OSError):
             emit_csv(result, str(tmp_path / "missing_dir" / "out.csv"))
 

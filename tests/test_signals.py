@@ -25,7 +25,7 @@ class TestMakeGrid:
         assert grid.dt == 12.5
         assert 1.0 / grid.dt == 0.08
         assert grid.duration == 400.0
-        assert grid.n_symbols == 4
+        assert grid.n_samples // grid.samples_per_symbol == 4
 
     def test_times_and_frequencies(self):
         grid = make_grid(4, 8, 100.0)

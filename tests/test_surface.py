@@ -2,6 +2,7 @@
 public function and method has a caller, and the call shapes the bench
 scripts use still bind."""
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -12,6 +13,7 @@ import pytest
 
 import ssfmlab
 from ssfmlab import bandwidth, engine, harness, runner
+from ssfmlab.cli import build_parser
 
 MODULES = ["ssfmlab"] + [f"ssfmlab.{m.name}" for m in pkgutil.iter_modules(ssfmlab.__path__)]
 
@@ -75,10 +77,31 @@ def test_bench_call_shapes_bind():
     assert _bound(harness.emit_csv, "result", "path")["result"] == "result"
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's "Command line" flag table has one column per subcommand, and
+    each row marks ``yes`` under exactly the subcommands that define its flag."""
+    section = _readme().split("## Command line\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    header, flag_rows = rows[0], rows[2:]
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = list(subparsers.choices)
+    assert [cell.strip().strip("`") for cell in header[1:]] == commands
+    assert flag_rows
+    for flag_cell, *cells in flag_rows:
+        flag = re.match(r"\s*`(--[\w-]+)", flag_cell).group(1)
+        marked = [c for c, cell in zip(commands, cells) if cell.strip() == "yes"]
+        defined = [c for c in commands if flag in subparsers.choices[c]._option_string_actions]
+        assert marked == defined, flag
+
+
 def test_readme_names_every_preset_and_axis():
     """README's preset table has one row per preset, and its ``sweep`` axes
     list one entry per axis, in the package's order."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = _readme()
     table = readme.split("### Presets\n", 1)[1].split("\n#", 1)[0]
     assert tuple(re.findall(r"^\| `([\w-]+)` \|", table, re.M)) == harness.PRESETS
     axes = readme.split("`sweep` axes:\n\n", 1)[1].split("\n\n", 1)[0]
