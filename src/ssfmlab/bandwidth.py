@@ -57,8 +57,9 @@ def _validate_fractions(fractions: Sequence[float]) -> tuple[float, ...]:
 def _select_best(fractions: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
     """Smallest NSD wins; ties go to the largest fraction."""
     best = min(values)
+    tied = [fraction for fraction, value in zip(fractions, values) if value == best]
     # no value equals a NaN minimum; such a grid reports its last fraction
-    return max((f for f, v in zip(fractions, values) if v == best), default=fractions[-1]), best
+    return max(tied, default=fractions[-1]), best
 
 
 def sweep_bandwidth(

@@ -108,8 +108,8 @@ def _require_numeric_fraction(scenario: Scenario, command: str) -> float:
 
 def cmd_propagate(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
-    out = _writable(args.out or "propagate.csv")
     fraction = _require_numeric_fraction(scenario, "propagate")
+    out = _writable(args.out or "propagate.csv")
     wave = harness.seed_run(scenario, scenario.seeds[0], fraction)
     harness.write_trace_csv(wave, out)
     print(f"wrote {out}")

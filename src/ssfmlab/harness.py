@@ -114,12 +114,6 @@ class Scenario:
             raise ScenarioError(
                 f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
             )
-        _check_memory(self, copies=3)
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if min(self.seeds) < 0:
-            raise ScenarioError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ScenarioError("seed list contains duplicates")
         if self.candidate_spp > self.benchmark_spp:
             raise ScenarioError(
                 f"candidate_spp {self.candidate_spp} exceeds benchmark_spp {self.benchmark_spp}"
@@ -138,6 +132,13 @@ class Scenario:
             object.__setattr__(self, "benchmark_grid", make_grid(n, self.benchmark_spp, symbol_time))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        # the bound reads n_symbols and benchmark_spp, which make_grid has checked
+        _check_memory(self, copies=3)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if min(self.seeds) < 0:
+            raise ScenarioError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ScenarioError("seed list contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,6 @@ _KEYS = {
     "optimize_fractions": ("optimize_fractions", parse_fraction_spec),
 }
 _REQUIRED_KEYS = tuple(_KEYS)[:4]
-_OPTIONAL_KEYS = tuple(_KEYS)[4:]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -308,11 +308,9 @@ def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
         return _at_span(base, value)
     if axis == "power":
         return dataclasses.replace(base, launch=dataclasses.replace(base.launch, power_dbm=value))
-    if axis == "dt":
-        if not math.isfinite(value) or value != int(value):
-            raise ScenarioError(f"dt axis values are samples per symbol, got {value}")
-        return dataclasses.replace(base, candidate_spp=int(value))
-    raise ScenarioError(f"unknown sweep axis {axis!r}")  # pragma: no cover
+    if not math.isfinite(value) or value != int(value):  # the dt axis; no other reaches here
+        raise ScenarioError(f"dt axis values are samples per symbol, got {value}")
+    return dataclasses.replace(base, candidate_spp=int(value))
 
 
 def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -> SweepResult:
@@ -405,16 +403,24 @@ def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
 
 def emit_csv(result: SweepResult, path: str) -> None:
     """Write a sweep as CSV: one header line, one row per axis value."""
-    columns = (result.axis_values, result.nsd_without_lpf, result.nsd_with_lpf, result.chosen_fractions)
-    rows = ((_fmt_axis(v), _fmt(without), _fmt(with_lpf), _fmt_axis(f))
-            for v, without, with_lpf, f in zip(*columns))
-    _write_csv(path, f"{result.axis_name},nsd_without_lpf,nsd_with_lpf,chosen_fraction", rows)
+    rows = zip(
+        result.axis_values,
+        result.nsd_without_lpf,
+        result.nsd_with_lpf,
+        result.chosen_fractions,
+    )
+    cells = [
+        (_fmt_axis(value), _fmt(without), _fmt(with_lpf), _fmt_axis(fraction))
+        for value, without, with_lpf, fraction in rows
+    ]
+    _write_csv(path, f"{result.axis_name},nsd_without_lpf,nsd_with_lpf,chosen_fraction", cells)
 
 
 def write_trace_csv(wave: Waveform, path: str) -> None:
     """Write a waveform as CSV columns (t_ps, re, im)."""
     rows = zip(wave.grid.times(), wave.samples)
-    _write_csv(path, "t_ps,re,im", ((_fmt_axis(t), _fmt(x.real), _fmt(x.imag)) for t, x in rows))
+    cells = [(_fmt_axis(t), _fmt(sample.real), _fmt(sample.imag)) for t, sample in rows]
+    _write_csv(path, "t_ps,re,im", cells)
 
 
 # --------------------------------------------------------------------------

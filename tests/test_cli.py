@@ -543,6 +543,40 @@ class TestRefusedBeforeAnyWork:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {path}: it is a folder or its folder does not exist\n"
 
+    def test_bad_input_wins_over_unwritable_output(self, config, capsys):
+        """Input checks come first: a propagate spec without a numeric
+        fraction exits 2 even when its output folder is missing."""
+        argv = ["propagate", "--config", config(fraction="optimize"), "--out", "missing/trace.csv"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: 'propagate' needs a numeric filter_fraction")
+
+    @pytest.mark.parametrize(
+        "size, bad, message",
+        [
+            ("n_symbols = 16", "n_symbols = 0", "n_symbols must be positive, got 0"),
+            ("n_symbols = 16", "n_symbols = -4", "n_symbols must be positive, got -4"),
+            ("benchmark_spp = 12", "benchmark_spp = 0", "candidate_spp 6 exceeds benchmark_spp 0"),
+        ],
+        ids=["zero-symbols", "negative-symbols", "zero-benchmark-spp"],
+    )
+    def test_bad_size_is_refused_before_the_memory_bound(
+        self, capsys, monkeypatch, size, bad, message
+    ):
+        """A size of 0 or less makes the memory estimate 0 or less, which
+        would let any seed count past the bound into a tuple; the size is
+        refused before the bound reads it."""
+
+        def unchecked(*args, **kwargs):
+            raise AssertionError("the memory bound read an unchecked size")
+
+        monkeypatch.setattr(harness, "_check_memory", unchecked)
+        text = TINY.format(fraction="optimize").replace(size, bad)
+        with open("sizes.txt", "w", encoding="utf-8") as fh:
+            fh.write(text.replace("seeds = 2", "seeds = 99999999999999999999999"))
+        assert main(["optimize-bandwidth", "--config", "sizes.txt", "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists("out.csv")
+
     @pytest.mark.parametrize("preset", ["fig2", "fig3a"])
     def test_empty_seed_override_exits_2(self, capsys, preset):
         """``--seeds 0`` asks for no seeds, not for the preset's default ones."""

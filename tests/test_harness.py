@@ -25,7 +25,6 @@ from ssfmlab import (
 )
 from ssfmlab.harness import (
     _KEYS,
-    _OPTIONAL_KEYS,
     _REQUIRED_KEYS,
     AXES,
     PRESETS,
@@ -181,7 +180,8 @@ _VALUES = {
 
 @st.composite
 def scenario_texts(draw):
-    keys = _REQUIRED_KEYS + tuple(draw(st.lists(st.sampled_from(_OPTIONAL_KEYS), unique=True)))
+    optional = [key for key in _KEYS if key not in _REQUIRED_KEYS]
+    keys = _REQUIRED_KEYS + tuple(draw(st.lists(st.sampled_from(optional), unique=True)))
     return "\n".join(f"{key} = {draw(_VALUES.get(key, _NUMBERS))}" for key in keys)
 
 
