@@ -58,39 +58,38 @@ def _select_best(fractions: Sequence[float], values: Sequence[float]) -> tuple[f
     """Smallest NSD wins; ties go to the largest fraction."""
     best = min(values)
     tied = [fraction for fraction, value in zip(fractions, values) if value == best]
-    # no value equals a NaN minimum; such a grid reports its last fraction
-    return max(tied, default=fractions[-1]), best
+    return max(tied), best
 
 
 def sweep_bandwidth(
     scenario: "Scenario",
-    fractions: Sequence[float] | None = None,
+    fractions: Sequence[float],
+    bench_fields: np.ndarray,
     threads: int = 0,
     launch_fields: np.ndarray | None = None,
-    bench_fields: np.ndarray | None = None,
     spans: Sequence[float] | None = None,
 ) -> tuple[BandwidthSweep, ...]:
     """Evaluate a scenario's seed-averaged NSD over a filter-fraction grid.
 
-    The fraction grid, by default the scenario's ``optimize_fractions``,
-    must be strictly ascending, lie in (0, 1] and contain 1.0 so the
-    unfiltered scheme is always a candidate.  Benchmark outputs
-    are computed once per seed and reused across all fractions; callers that
-    already hold them can pass ``launch_fields``/``bench_fields`` to skip the
-    recomputation.  The benchmark and the whole fraction grid each run as
-    row blocks on ``threads`` workers (0 = one per CPU).  A fraction whose
-    propagation diverges is recorded as NSD = +inf rather than failing the
-    sweep, and each span with such fractions logs one warning.
+    The fraction grid must be strictly ascending, lie in (0, 1] and contain
+    1.0 so the unfiltered scheme is always a candidate.  ``bench_fields``
+    are the benchmark outputs from :func:`runner.benchmark_fields` at the
+    same ``spans``, reused across all fractions; callers that already hold
+    the shaped inputs can pass ``launch_fields`` to skip reshaping them.
+    The whole fraction grid runs as row blocks on ``threads`` workers
+    (0 = one per CPU).  A fraction whose propagation diverges is recorded
+    as NSD = +inf rather than failing the sweep, and each span with such
+    fractions logs one warning.  In the package only the point loop of
+    :mod:`ssfmlab.harness` calls it, so every sweep point, ``fig2`` row and
+    ``optimize-bandwidth`` search is scored here.
 
     One sweep per span is returned as a tuple.  With ``spans`` (ascending
-    km, see :func:`runner.benchmark_fields`) each fraction is propagated once
-    and scored at every span; without, the tuple holds the scenario's span.
+    km) each fraction is propagated once and scored at every span; without,
+    the tuple holds the scenario's span.
     """
-    fractions = _validate_fractions(scenario.optimize_fractions if fractions is None else fractions)
+    fractions = _validate_fractions(fractions)
     if launch_fields is None:
         launch_fields = runner.shaped_fields(scenario)
-    if bench_fields is None:
-        bench_fields = runner.benchmark_fields(scenario, spans, threads)
     per_seed = runner.fraction_nsds(scenario, fractions, launch_fields, bench_fields, spans, threads)
     sweeps = []
     for at_span in per_seed:

@@ -16,8 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import harness
-from .bandwidth import sweep_bandwidth
+from . import bandwidth, harness
 from .engine import NumericalOverflowError
 from .harness import OPTIMIZE, Scenario, ScenarioError
 from .metrics import nsd
@@ -179,16 +178,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(harness.load_scenario(args.config), args)
     fractions = harness.parse_fraction_spec(args.fractions) if args.fractions else None
     out = _writable(args.out)
-    (result,) = sweep_bandwidth(scenario, fractions, threads=args.threads)
+    if fractions is not None:
+        scenario = dataclasses.replace(scenario, optimize_fractions=fractions)
+    result = harness.sweep("bandwidth", scenario, scenario.optimize_fractions, threads=args.threads)
+    best_fraction, best_nsd = bandwidth._select_best(result.axis_values, result.nsd_with_lpf)
     print(
-        f"best filter_fraction = {harness._fmt_axis(result.best_fraction)} "
-        f"with nsd = {harness._fmt(result.best_nsd)} "
-        f"(unfiltered nsd = {harness._fmt(result.value_at(1.0))})"
+        f"best filter_fraction = {harness._fmt_axis(best_fraction)} "
+        f"with nsd = {harness._fmt(best_nsd)} "
+        f"(unfiltered nsd = {harness._fmt(result.nsd_without_lpf[0])})"
     )
     if out:
-        harness.emit_csv(harness.bandwidth_table(result, result.fractions), out)
+        harness.emit_csv(result, out)
         print(f"wrote {out}")
-    return _exit_status(result.nsd_values)
+    return _exit_status(result.nsd_with_lpf)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:

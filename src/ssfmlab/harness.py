@@ -32,7 +32,6 @@ __all__ = [
     "parse_scenario",
     "seed_run",
     "sweep",
-    "bandwidth_table",
     "emit_csv",
     "write_trace_csv",
     "preset_jobs",
@@ -104,15 +103,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ScenarioError("seed list is empty")
-        if isinstance(self.filter_fraction, str):
-            if self.filter_fraction != OPTIMIZE:
-                raise ScenarioError(
-                    f"filter_fraction must be a number in (0, 1] or '{OPTIMIZE}', "
-                    f"got {self.filter_fraction!r}"
-                )
-        elif not 0.0 < self.filter_fraction <= 1.0:
+        if isinstance(self.filter_fraction, str) and self.filter_fraction != OPTIMIZE:
             raise ScenarioError(
-                f"filter_fraction must lie in (0, 1], got {self.filter_fraction}"
+                f"filter_fraction must be a number in (0, 1] or '{OPTIMIZE}', "
+                f"got {self.filter_fraction!r}"
             )
         if self.candidate_spp > self.benchmark_spp:
             raise ScenarioError(
@@ -124,7 +118,8 @@ class Scenario:
                 f"benchmark_dz_km {self.benchmark_dz_km}"
             )
         try:  # refuse malformed grids and steps before any command propagates
-            bandwidth._validate_fractions(self.optimize_fractions)
+            for grid in (self.optimize_fractions, _point_grid(self)):
+                bandwidth._validate_fractions(grid)
             for dz_km in (self.candidate_dz_km, self.benchmark_dz_km):
                 SsfmConfig.from_step(self.fiber.span_km, dz_km)
             n, symbol_time = self.n_symbols, self.launch.symbol_time
@@ -287,61 +282,42 @@ def seed_run(scenario: Scenario, seed: int, fraction: float) -> Waveform:
     return propagate(wave, scenario.fiber, cfg)
 
 
-def _row(result: bandwidth.BandwidthSweep, fraction: float) -> tuple[float, float, float]:
-    """One sweep CSV row: (NSD without filter, NSD at ``fraction``, ``fraction``)."""
+def _row(point: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
+    """One sweep CSV row: (NSD without filter, NSD at the chosen fraction, that
+    fraction), which is the point's best one when optimizing, else its pinned one."""
+    pinned = point.filter_fraction
+    fraction = result.best_fraction if pinned == OPTIMIZE else float(pinned)
     return result.value_at(1.0), result.value_at(fraction), fraction
-
-
-def _chosen(scenario: Scenario, result: bandwidth.BandwidthSweep) -> float:
-    """The fraction a point reports: its best one when optimizing, else its pinned one."""
-    if scenario.filter_fraction == OPTIMIZE:
-        return result.best_fraction
-    return float(scenario.filter_fraction)
-
-
-def _at_span(scenario: Scenario, span_km: float) -> Scenario:
-    return dataclasses.replace(scenario, fiber=dataclasses.replace(scenario.fiber, span_km=span_km))
 
 
 def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
     if axis == "distance":
-        return _at_span(base, value)
+        return dataclasses.replace(base, fiber=dataclasses.replace(base.fiber, span_km=value))
     if axis == "power":
         return dataclasses.replace(base, launch=dataclasses.replace(base.launch, power_dbm=value))
+    if axis == "bandwidth":
+        return dataclasses.replace(base, filter_fraction=value)
     if not math.isfinite(value) or value != int(value):  # the dt axis; no other reaches here
         raise ScenarioError(f"dt axis values are samples per symbol, got {value}")
     return dataclasses.replace(base, candidate_spp=int(value))
-
-
-def bandwidth_table(result: bandwidth.BandwidthSweep, values: Sequence[float]) -> SweepResult:
-    """NSD at each of the filter fractions ``values``, next to the fraction 1.0 NSD."""
-    fractions = tuple(float(v) for v in values)
-    without, with_lpf, chosen = zip(*(_row(result, f) for f in fractions))
-    return SweepResult(_AXIS_COLUMNS["bandwidth"], fractions, without, with_lpf, chosen)
 
 
 def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) -> SweepResult:
     """Sweep one axis of a scenario and collect filtered/unfiltered NSD.
 
     Axis values are km for ``distance``, dBm for ``power``, integer samples
-    per symbol for ``dt`` and filter fractions for ``bandwidth``.  Segment
-    counts are recomputed per point from the fixed step sizes, and every
-    point is checked before anything is propagated.  Points that differ
-    only in span are read off one propagation to the farthest of them, and
-    points whose benchmark inputs agree (every ``dt`` point, say) share one
-    benchmark run.  For the bandwidth axis a single benchmark set is shared
-    by all points.
+    per symbol for ``dt`` and filter fractions for ``bandwidth``, where each
+    value pins the point's fraction.  Segment counts are recomputed per
+    point from the fixed step sizes, and every point is checked before
+    anything is propagated.  Points that differ only in span and filter
+    fraction are read off one propagation of the union of their fractions
+    to the farthest span (every ``bandwidth`` point, say), and points whose
+    benchmark inputs agree (every ``dt`` point) share one benchmark run.
     """
     if axis not in AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
     if len(values) == 0:
         raise ScenarioError(f"no values to sweep on axis {axis!r}")
-
-    if axis == "bandwidth":
-        grid = tuple(sorted(set(float(v) for v in values) | {1.0}))
-        (result,) = bandwidth.sweep_bandwidth(base, grid, threads=threads)
-        return bandwidth_table(result, values)
-
     points = [_substitute(base, axis, float(v)) for v in values]
     axis_values = tuple(100.0 / float(v) if axis == "dt" else float(v) for v in values)
     return _sweep_points(_AXIS_COLUMNS[axis], axis_values, points, threads)[0]
@@ -351,22 +327,31 @@ def _sweep_points(
     column: str, axis_values: tuple[float, ...], points: Sequence[Scenario], threads: int
 ) -> tuple[SweepResult, np.ndarray]:
     """Evaluate sweep points; also return the last benchmark run."""
-    # Points that differ only in span share one run to the farthest span of
-    # the sweep, which keys their group.  No axis changes a step, so every
-    # point is whole steps at that span too.
+    # Points that differ only in span and filter fraction share one run of
+    # the union of their fraction grids to the farthest span of the sweep,
+    # which keys their group.  No axis changes a step, so every point is
+    # whole steps at that span too.
     far_km = max(point.fiber.span_km for point in points)
-    groups: dict[Scenario, set[float]] = {}
-    for point in points:
-        groups.setdefault(_at_span(point, far_km), set()).add(point.fiber.span_km)
-    for run, span_set in groups.items():  # one snapshot per span, plus 2
+    runs = [
+        dataclasses.replace(
+            point, fiber=dataclasses.replace(point.fiber, span_km=far_km), filter_fraction=OPTIMIZE
+        )
+        for point in points
+    ]
+    groups: dict[Scenario, tuple[set[float], set[float]]] = {}
+    for run, point in zip(runs, points):
+        span_set, grid = groups.setdefault(run, (set(), set()))
+        span_set.add(point.fiber.span_km)
+        grid.update(_point_grid(point))
+    for run, (span_set, _) in groups.items():  # one snapshot per span, plus 2
         _check_memory(run, copies=len(span_set) + 2)
     # The benchmark depends on no candidate setting, so consecutive groups
     # whose runs agree on the rest share one benchmark run.  In one sweep
     # either every group agrees (dt, fig2) or none does (power), so holding
     # only the last benchmark loses no reuse.
     key, bench_fields = None, None
-    results: dict[Scenario, bandwidth.BandwidthSweep] = {}
-    for run, span_set in groups.items():
+    results: dict[tuple[Scenario, float], bandwidth.BandwidthSweep] = {}
+    for run, (span_set, grid) in groups.items():
         spans = tuple(sorted(span_set))
         run_key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
                    run.benchmark_dz_km, spans)
@@ -374,11 +359,12 @@ def _sweep_points(
             bench_fields = None  # drop the last benchmark before running the next
             key, bench_fields = run_key, runner.benchmark_fields(run, spans, threads)
         sweeps = bandwidth.sweep_bandwidth(
-            run, _point_grid(run), threads=threads, bench_fields=bench_fields, spans=spans
+            run, tuple(sorted(grid)), bench_fields, threads=threads, spans=spans
         )
         for span, result in zip(spans, sweeps):
-            results[_at_span(run, span)] = result
-    without, with_lpf, chosen = zip(*(_row(results[p], _chosen(p, results[p])) for p in points))
+            results[run, span] = result
+    rows = (_row(point, results[run, point.fiber.span_km]) for run, point in zip(runs, points))
+    without, with_lpf, chosen = zip(*rows)
     return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields
 
 

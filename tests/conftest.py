@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ssfmlab import FiberParams, LaunchSpec, Scenario, gen_symbols, make_grid, shape_pulse
+from ssfmlab import (
+    FiberParams, LaunchSpec, Scenario, gen_symbols, make_grid, runner, shape_pulse, sweep_bandwidth,
+)
 
 # CI boxes vary; deadlines only cause flakes on the FFT-heavy properties.
 settings.register_profile("default", deadline=None, derandomize=True)
@@ -58,3 +60,9 @@ def tiny_scenario(**overrides):
 
 def replace(scenario, **overrides):
     return dataclasses.replace(scenario, **overrides)
+
+
+def search(scenario, fractions, threads=0, spans=None):
+    """``sweep_bandwidth`` scored against a benchmark run of its own."""
+    bench_fields = runner.benchmark_fields(scenario, spans, threads)
+    return sweep_bandwidth(scenario, fractions, bench_fields, threads=threads, spans=spans)

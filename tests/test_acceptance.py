@@ -28,12 +28,11 @@ from ssfmlab import (
     resample_bandlimited,
     shape_pulse,
     sweep,
-    sweep_bandwidth,
 )
 from ssfmlab.cli import main
 from ssfmlab.harness import preset_jobs
 
-from conftest import energy, tiny_scenario
+from conftest import energy, search, tiny_scenario
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 
@@ -262,7 +261,7 @@ def test_criterion_10_property_roundup():
 
     # argmin containment: the chosen fraction is a grid point achieving the
     # minimum searched value
-    (result,) = sweep_bandwidth(tiny_scenario(), fractions=default_fractions(0.1))
+    (result,) = search(tiny_scenario(), default_fractions(0.1))
     assert result.best_fraction in result.fractions
     assert result.best_nsd == min(result.nsd_values)
     assert result.value_at(result.best_fraction) == result.best_nsd

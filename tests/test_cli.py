@@ -2,9 +2,11 @@ import contextlib
 import dataclasses
 import io
 import logging
+import math
 import os
 import re
 import threading
+import warnings
 from unittest import mock
 
 import pytest
@@ -185,6 +187,23 @@ class TestSweep:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("filter_fraction,")
 
+    def test_bandwidth_points_share_one_run(self, config, tmp_path):
+        """Bandwidth values pin the fraction of their point, and the points
+        share one benchmark and one candidate run of the values plus 1.0;
+        the rows come back in the given order."""
+        out = tmp_path / "bw.csv"
+        argv = ["sweep", "--axis", "bandwidth", "--values", "0.9,0.6,0.9", "--config", config()]
+        bench = mock.patch.object(runner, "benchmark_fields", wraps=runner.benchmark_fields)
+        candidates = mock.patch.object(runner, "fraction_nsds", wraps=runner.fraction_nsds)
+        with bench as bench_calls, candidates as candidate_calls:
+            assert main(argv + ["--out", str(out)]) == 0
+        assert bench_calls.call_count == 1
+        assert candidate_calls.call_count == 1
+        assert tuple(candidate_calls.call_args.args[1]) == (0.6, 0.9, 1.0)
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [(row[0], row[3]) for row in rows] == [("0.9", "0.9"), ("0.6", "0.6"), ("0.9", "0.9")]
+        assert rows[0] == rows[2]
+
     def test_bad_values_exit_2(self, config):
         assert main(["sweep", "--axis", "power", "--values", "3,x", "--config", config()]) == 2
 
@@ -261,6 +280,37 @@ class TestOptimizeBandwidth:
         path = config(fraction="optimize", extra="optimize_fractions = 0.9,1.0\n")
         assert main(["optimize-bandwidth", "--config", path]) == 0
         assert "best filter_fraction" in capsys.readouterr().out
+
+    def test_pinned_file_searches_its_whole_grid(self, config, tmp_path, capsys):
+        """A file's pinned fraction does not narrow the search: the best line
+        and the table are those of the same file set to optimize."""
+        outputs = []
+        for fraction in ("optimize", "0.8"):
+            path = config(f"{fraction}.txt", fraction, "optimize_fractions = 0.6,0.7,0.9,1.0\n")
+            out = tmp_path / f"{fraction}.csv"
+            assert main(["optimize-bandwidth", "--config", path, "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out.splitlines()[0], out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 5
+
+    def test_summed_power_beyond_float_range_scores_a_number(self, tmp_path, capsys, caplog):
+        """At 3082 dBm each sample carries about 1.6e305 W, so the sums of
+        squares in the NSD pass float range; the search still reports a
+        finite NSD, with no numpy warning and no overflow warning."""
+        (tmp_path / "loud.txt").write_text(
+            "span_km = 20\npower_dbm = 3082\ncandidate_spp = 8\ncandidate_dz_km = 1\n"
+            "benchmark_dz_km = 1\nn_symbols = 256\nseeds = 3\n",
+            encoding="utf-8",
+        )
+        argv = ["optimize-bandwidth", "--config", "loud.txt", "--fractions", "0.5:0.25:1.0"]
+        with warnings.catch_warnings(record=True) as caught, caplog.at_level(logging.WARNING):
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert caught == [] and caplog.records == []
+        out, err = capsys.readouterr()
+        best_nsd = float(re.search(r"with nsd = (\S+)", out).group(1))
+        assert math.isfinite(best_nsd) and "nan" not in out
+        assert err == ""
 
     def test_warns_of_overflowed_fractions(self, tmp_path, capsys, caplog):
         """A 400 km gain fiber overflows every fraction; the search says so
@@ -415,13 +465,34 @@ class TestRefusedBeforeAnyWork:
         [
             (["optimize-bandwidth", "--fractions", "0.5,0.9"], "fraction grid must contain 1.0"),
             (["sweep", "--axis", "bandwidth", "--values", "0,0.5"], "filter fraction 0.0 outside (0, 1]"),
+            (["sweep", "--axis", "bandwidth", "--values", "2,0"], "filter fraction 2.0 outside (0, 1]"),
         ],
-        ids=["fractions-flag", "bandwidth-axis"],
+        ids=["fractions-flag", "bandwidth-axis", "bandwidth-axis-first-given"],
     )
     def test_bad_search_grid_exits_2(self, config, tmp_path, capsys, argv, message):
         """The grid a search is handed is checked before its benchmark is shaped."""
         assert main(argv + ["--config", config(), "--out", "out.csv"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--config", "fraction.txt"],
+            ["nsd", "fraction.txt", "fraction.txt"],
+            ["sweep", "--axis", "power", "--values", "6", "--config", "fraction.txt"],
+            ["optimize-bandwidth", "--config", "fraction.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_pinned_fraction_outside_range_exits_2(self, tmp_path, capsys, argv, fraction):
+        """A file's ``filter_fraction`` is refused by the rule, and in the
+        words, of a bandwidth ``--values`` entry."""
+        with open("fraction.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction=fraction))
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: filter fraction {float(fraction)} outside (0, 1]\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("step", ["0", "nan"])
@@ -721,14 +792,15 @@ def command_lines(draw):
 @given(command_lines())
 def test_every_command_line_ends_in_an_exit_code(tmp_path_factory, drawn):
     """Each argv of the five commands exits 0, 2, 3 or 4; a non-zero exit
-    prints exactly one error line, and no exception escapes ``main``."""
+    prints exactly one error line, no exception escapes ``main``, and no
+    printed NSD is NaN."""
     text, argv = drawn
     os.chdir(tmp_path_factory.mktemp("argv"))
     with open("tiny.txt", "w", encoding="utf-8") as fh:
         fh.write(text)
-    err = io.StringIO()
+    err, out = io.StringIO(), io.StringIO()
     with mock.patch.object(harness, "_preset_scenario", _tiny_preset), \
-            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             code = main(argv)
         except SystemExit as exited:  # argparse refuses the argv
@@ -736,3 +808,4 @@ def test_every_command_line_ends_in_an_exit_code(tmp_path_factory, drawn):
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     assert len(errors) == (code != 0), err.getvalue()
+    assert "nan" not in out.getvalue(), out.getvalue()

@@ -20,7 +20,6 @@ from ssfmlab import (
     reproduce_fig2,
     sweep,
     SweepResult,
-    sweep_bandwidth,
     write_trace_csv,
 )
 from ssfmlab.harness import (
@@ -32,7 +31,7 @@ from ssfmlab.harness import (
     parse_seed_spec,
 )
 
-from conftest import replace, tiny_scenario
+from conftest import replace, search, tiny_scenario
 
 MINIMAL = """
 span_km = 1000
@@ -241,11 +240,11 @@ class TestRunScenario:
 
     def test_optimize_returns_sweep_and_unfiltered_report(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
-        (search,) = sweep_bandwidth(scenario, (0.7, 0.9, 1.0))
+        (curve,) = search(scenario, (0.7, 0.9, 1.0))
         result = self.run(scenario)
-        assert result.nsd_without_lpf[0] == search.value_at(1.0)
-        assert result.nsd_with_lpf[0] == search.best_nsd == min(search.nsd_values)
-        assert result.chosen_fractions[0] == search.best_fraction
+        assert result.nsd_without_lpf[0] == curve.value_at(1.0)
+        assert result.nsd_with_lpf[0] == curve.best_nsd == min(curve.nsd_values)
+        assert result.chosen_fractions[0] == curve.best_fraction
 
     def test_thread_count_does_not_change_results(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))

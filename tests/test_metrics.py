@@ -86,3 +86,27 @@ def test_rejects_zero_energy_reference(small_grid):
     one = Waveform(np.ones(small_grid.n_samples, dtype=complex), small_grid)
     with pytest.raises(DegenerateInputError):
         nsd(zero, one)
+
+
+def test_sums_of_squares_beyond_float_range_still_score():
+    """At 1e305 W a sample, 4,096 samples sum past float range; both waveforms
+    are scaled by a power of two first, so the metric stays a number."""
+    grid = make_grid(256, 16, 100.0)
+    wave = shape_pulse(gen_symbols(0, 256), grid, LaunchSpec(power_dbm=3.0))
+    gain = np.sqrt(1e305 / np.mean(wave.samples.real**2 + wave.samples.imag**2))
+    huge = Waveform(gain * wave.samples, grid)
+    shifted = Waveform(np.roll(huge.samples, 1), grid)
+    with np.errstate(all="raise"):
+        assert nsd(huge, huge) == 0.0
+        value = nsd(huge, shifted)
+    assert np.isfinite(value)
+    assert value == pytest.approx(nsd(wave, Waveform(np.roll(wave.samples, 1), grid)), rel=1e-12)
+
+
+def test_scaling_moves_no_bit(small_waveform):
+    """At an ordinary power the scaled sums give the unscaled ratio exactly."""
+    other = shape_pulse(gen_symbols(8, 16), small_waveform.grid, LaunchSpec(power_dbm=3.0))
+    ref = small_waveform.samples
+    diff = ref - resample_bandlimited(other, small_waveform.grid).samples
+    unscaled = np.sum(diff.real**2 + diff.imag**2) / np.sum(ref.real**2 + ref.imag**2)
+    assert nsd(small_waveform, other) == float(unscaled)

@@ -3,6 +3,7 @@ public function and method has a caller, and the call shapes the bench
 scripts use still bind."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -55,6 +56,26 @@ def test_every_public_name_has_a_caller():
     text = "\n".join(path.read_text(encoding="utf-8") for path in files)
     uncalled = [name for name, pattern in _public_names() if not re.search(pattern, text, re.M)]
     assert uncalled == []
+
+
+def test_points_are_scored_only_in_the_point_loop():
+    """Every command that scores filter fractions goes through
+    ``harness._sweep_points``: no other function of the package calls
+    ``sweep_bandwidth`` or ``runner.benchmark_fields``."""
+    root = Path(__file__).resolve().parents[1] / "src" / "ssfmlab"
+    callers = set()
+    for path in sorted(root.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] == "sweep_bandwidth" or name == "runner.benchmark_fields":
+                    callers.add((f"{path.stem}.{getattr(top, 'name', '<module>')}", name))
+    assert callers == {
+        ("harness._sweep_points", "bandwidth.sweep_bandwidth"),
+        ("harness._sweep_points", "runner.benchmark_fields"),
+    }
 
 
 def _bound(fn, *args, **kwargs):
