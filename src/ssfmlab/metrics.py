@@ -22,17 +22,19 @@ def nsd(reference: Waveform, candidate: Waveform) -> float:
     interpolation and the energy of the complex difference is normalized by
     the reference energy: sum |a - a_hat|^2 dt / sum |a|^2 dt.  Both
     waveforms must cover the same window and sit at the same distance.
-    Both waveforms are scaled by the power of two that brings the
-    reference's peak magnitude into [0.5, 1), so that neither sum of
-    squares leaves float range at any launch power.  The scaling is exact,
-    and so moves no bit of the ratio, unless a scaled square is subnormal.
+    When the reference's peak magnitude is 1 or more, both waveforms are
+    scaled down by the power of two that brings it into [0.5, 1), so that
+    neither sum of squares overflows at any launch power.  The scaling is
+    exact, and so moves no bit of the ratio, unless a scaled square is
+    subnormal.  A smaller reference is not scaled up: one whose squares all
+    underflow to 0 is refused as carrying no energy.
     """
     if not math.isclose(reference.z_km, candidate.z_km, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError(
             f"waveforms sit at different distances: {reference.z_km} km vs {candidate.z_km} km"
         )
     resampled = resample_bandlimited(candidate, reference.grid)
-    scale = math.ldexp(1.0, -math.frexp(np.max(np.abs(reference.samples)))[1])
+    scale = math.ldexp(1.0, -max(math.frexp(np.max(np.abs(reference.samples)))[1], 0))
     diff = (reference.samples - resampled.samples) * scale
     ref = reference.samples * scale
     num = np.sum(diff.real**2 + diff.imag**2)

@@ -357,6 +357,25 @@ class TestMalformedGrids:
         assert main(["sweep", "--axis", "dt", "--values", "6,inf", "--config", config()]) == 2
         assert capsys.readouterr().err.startswith("error: dt axis values")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nsd", "lossy.txt", "lossy.txt"],
+            ["optimize-bandwidth", "--config", "lossy.txt"],
+            ["sweep", "--axis", "bandwidth", "--values", "0.6", "--config", "lossy.txt"],
+        ],
+        ids=["nsd", "optimize", "bandwidth-axis"],
+    )
+    def test_reference_that_fades_below_float_range_exits_2(self, tmp_path, capsys, argv):
+        """71 /km of loss over 20 km leaves a benchmark peak near 2e-310, whose
+        squares all underflow to 0: the reference carries no energy."""
+        with open("lossy.txt", "w", encoding="utf-8") as fh:
+            fh.write(TINY.format(fraction="0.8").replace("power_dbm = 6", "power_dbm = 0")
+                     + "alpha_per_km = 71\n")
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == "error: reference waveform has zero energy\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestRefusedBeforeAnyWork:
     """Requests the machine cannot serve end with exit 2 and one error line

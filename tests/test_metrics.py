@@ -103,10 +103,25 @@ def test_sums_of_squares_beyond_float_range_still_score():
     assert value == pytest.approx(nsd(wave, Waveform(np.roll(wave.samples, 1), grid)), rel=1e-12)
 
 
-def test_scaling_moves_no_bit(small_waveform):
-    """At an ordinary power the scaled sums give the unscaled ratio exactly."""
-    other = shape_pulse(gen_symbols(8, 16), small_waveform.grid, LaunchSpec(power_dbm=3.0))
-    ref = small_waveform.samples
-    diff = ref - resample_bandlimited(other, small_waveform.grid).samples
+@pytest.mark.parametrize("power_dbm", [3.0, 40.0], ids=["peak-below-1", "peak-above-1"])
+def test_scaling_moves_no_bit(small_grid, power_dbm):
+    """A reference peak below 1 is not scaled; one above 1 is scaled down by
+    a power of two.  Either way the sums give the unscaled ratio exactly."""
+    launch = LaunchSpec(power_dbm=power_dbm)
+    reference = shape_pulse(gen_symbols(7, 16), small_grid, launch)
+    other = shape_pulse(gen_symbols(8, 16), small_grid, launch)
+    assert (np.max(np.abs(reference.samples)) > 1.0) == (power_dbm > 30.0)
+    ref = reference.samples
+    diff = ref - other.samples
     unscaled = np.sum(diff.real**2 + diff.imag**2) / np.sum(ref.real**2 + ref.imag**2)
-    assert nsd(small_waveform, other) == float(unscaled)
+    assert nsd(reference, other) == float(unscaled)
+
+
+def test_reference_whose_squares_underflow_is_refused(small_waveform):
+    """A subnormal peak is not scaled up: every square underflows to 0, so the
+    reference carries no energy and is refused, with no arithmetic error."""
+    tiny = Waveform(small_waveform.samples * (2e-310 / np.max(np.abs(small_waveform.samples))),
+                    small_waveform.grid)
+    assert 0.0 < np.max(np.abs(tiny.samples)) < np.finfo(float).tiny
+    with pytest.raises(DegenerateInputError, match="zero energy"):
+        nsd(tiny, tiny)
