@@ -6,7 +6,7 @@ a normalized square difference, and searches for the filter bandwidth that
 minimizes that error.  ``ssfmlab.cli`` exposes the experiment harness.
 """
 
-from .bandwidth import BandwidthSweep, default_fractions, sweep_bandwidth
+from .bandwidth import default_fractions, sweep_bandwidth
 from .engine import (
     BENCHMARK_DZ_KM,
     BENCHMARK_SPP,
@@ -49,7 +49,6 @@ __all__ = [
     "AXES",
     "BENCHMARK_DZ_KM",
     "BENCHMARK_SPP",
-    "BandwidthSweep",
     "DegenerateInputError",
     "FiberParams",
     "LaunchSpec",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -14,30 +13,17 @@ from . import runner
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
-__all__ = ["BandwidthSweep", "default_fractions", "sweep_bandwidth"]
+__all__ = ["default_fractions", "sweep_bandwidth"]
 
 log = logging.getLogger(__name__)
 
 
 def default_fractions(step: float = 0.01) -> tuple[float, ...]:
     """Search grid from 0.50 to 1.00 inclusive in steps of ``step``."""
-    count = round(0.5 / step)
+    count = round(0.5 / step) if step > 0.0 else 0  # so the check refuses step <= 0 and NaN
     if not math.isclose(count * step, 0.5, rel_tol=1e-9):
         raise ValueError(f"step {step} does not divide the 0.50..1.00 range")
     return tuple(round(0.5 + i * step, 12) for i in range(count + 1))
-
-
-@dataclass(frozen=True)
-class BandwidthSweep:
-    """NSD of one scenario across filter fractions, plus the best point."""
-
-    fractions: tuple[float, ...]
-    nsd_values: tuple[float, ...]
-    best_fraction: float
-    best_nsd: float
-
-    def value_at(self, fraction: float) -> float:
-        return self.nsd_values[self.fractions.index(fraction)]
 
 
 def _validate_fractions(fractions: Sequence[float]) -> tuple[float, ...]:
@@ -68,7 +54,7 @@ def sweep_bandwidth(
     threads: int = 0,
     launch_fields: np.ndarray | None = None,
     spans: Sequence[float] | None = None,
-) -> tuple[BandwidthSweep, ...]:
+) -> tuple[tuple[float, ...], ...]:
     """Evaluate a scenario's seed-averaged NSD over a filter-fraction grid.
 
     The fraction grid must be strictly ascending, lie in (0, 1] and contain
@@ -83,20 +69,18 @@ def sweep_bandwidth(
     :mod:`ssfmlab.harness` calls it, so every sweep point, ``fig2`` row and
     ``optimize-bandwidth`` search is scored here.
 
-    One sweep per span is returned as a tuple.  With ``spans`` (ascending
-    km) each fraction is propagated once and scored at every span; without,
-    the tuple holds the scenario's span.
+    It only scores, returning one curve per span: the seed-mean NSD of each
+    fraction in grid order (the point loop picks each row's fraction).  With
+    ``spans`` (ascending km) each fraction is propagated once and scored at
+    every span; without, the tuple holds the scenario's span.
     """
     fractions = _validate_fractions(fractions)
     if launch_fields is None:
         launch_fields = runner.shaped_fields(scenario)
     per_seed = runner.fraction_nsds(scenario, fractions, launch_fields, bench_fields, spans, threads)
-    sweeps = []
-    for at_span in per_seed:
-        values = tuple(float(np.mean(row)) for row in at_span)
-        n_bad = sum(1 for v in values if not math.isfinite(v))
+    curves = tuple(tuple(float(np.mean(row)) for row in at_span) for at_span in per_seed)
+    for curve in curves:
+        n_bad = sum(1 for v in curve if not math.isfinite(v))
         if n_bad:
-            log.warning("%d of %d fractions overflowed (reported as inf)", n_bad, len(values))
-        best_fraction, best_nsd = _select_best(fractions, values)
-        sweeps.append(BandwidthSweep(fractions, values, best_fraction, best_nsd))
-    return tuple(sweeps)
+            log.warning("%d of %d fractions overflowed (reported as inf)", n_bad, len(curve))
+    return curves

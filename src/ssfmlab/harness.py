@@ -282,12 +282,14 @@ def seed_run(scenario: Scenario, seed: int, fraction: float) -> Waveform:
     return propagate(wave, scenario.fiber, cfg)
 
 
-def _row(point: Scenario, result: bandwidth.BandwidthSweep) -> tuple[float, float, float]:
-    """One sweep CSV row: (NSD without filter, NSD at the chosen fraction, that
-    fraction), which is the point's best one when optimizing, else its pinned one."""
+def _row(
+    point: Scenario, grid: tuple[float, ...], curve: tuple[float, ...]
+) -> tuple[float, float, float]:
+    """One sweep CSV row off the point's NSD ``curve`` over ``grid``: (NSD without filter,
+    NSD at the chosen fraction, that fraction), the best one if optimizing, else the pinned one."""
     pinned = point.filter_fraction
-    fraction = result.best_fraction if pinned == OPTIMIZE else float(pinned)
-    return result.value_at(1.0), result.value_at(fraction), fraction
+    fraction = bandwidth._select_best(grid, curve)[0] if pinned == OPTIMIZE else float(pinned)
+    return curve[grid.index(1.0)], curve[grid.index(fraction)], fraction
 
 
 def _substitute(base: Scenario, axis: str, value: float) -> Scenario:
@@ -326,7 +328,8 @@ def sweep(axis: str, base: Scenario, values: Sequence[float], threads: int = 0) 
 def _sweep_points(
     column: str, axis_values: tuple[float, ...], points: Sequence[Scenario], threads: int
 ) -> tuple[SweepResult, np.ndarray]:
-    """Evaluate sweep points; also return the last benchmark run."""
+    """Evaluate sweep points, each a row that :func:`_row` reads off its span's NSD
+    curve over its group's fraction grid; also return the last benchmark run."""
     # Points that differ only in span and filter fraction share one run of
     # the union of their fraction grids to the farthest span of the sweep,
     # which keys their group.  No axis changes a step, so every point is
@@ -350,20 +353,18 @@ def _sweep_points(
     # either every group agrees (dt, fig2) or none does (power), so holding
     # only the last benchmark loses no reuse.
     key, bench_fields = None, None
-    results: dict[tuple[Scenario, float], bandwidth.BandwidthSweep] = {}
-    for run, (span_set, grid) in groups.items():
-        spans = tuple(sorted(span_set))
+    curves: dict[tuple[Scenario, float], tuple[tuple[float, ...], tuple[float, ...]]] = {}
+    for run, (span_set, grid_set) in groups.items():
+        spans, grid = tuple(sorted(span_set)), tuple(sorted(grid_set))
         run_key = (run.fiber, run.launch, run.n_symbols, run.seeds, run.benchmark_spp,
                    run.benchmark_dz_km, spans)
         if run_key != key:
             bench_fields = None  # drop the last benchmark before running the next
             key, bench_fields = run_key, runner.benchmark_fields(run, spans, threads)
-        sweeps = bandwidth.sweep_bandwidth(
-            run, tuple(sorted(grid)), bench_fields, threads=threads, spans=spans
-        )
-        for span, result in zip(spans, sweeps):
-            results[run, span] = result
-    rows = (_row(point, results[run, point.fiber.span_km]) for run, point in zip(runs, points))
+        at_spans = bandwidth.sweep_bandwidth(run, grid, bench_fields, threads=threads, spans=spans)
+        for span, curve in zip(spans, at_spans):
+            curves[run, span] = grid, curve
+    rows = (_row(point, *curves[run, point.fiber.span_km]) for run, point in zip(runs, points))
     without, with_lpf, chosen = zip(*rows)
     return SweepResult(column, axis_values, without, with_lpf, chosen), bench_fields
 

@@ -63,6 +63,7 @@ def replace(scenario, **overrides):
 
 
 def search(scenario, fractions, threads=0, spans=None):
-    """``sweep_bandwidth`` scored against a benchmark run of its own."""
+    """``sweep_bandwidth`` scored against a benchmark run of its own: one NSD
+    curve per span, the seed mean of each of ``fractions`` in grid order."""
     bench_fields = runner.benchmark_fields(scenario, spans, threads)
     return sweep_bandwidth(scenario, fractions, bench_fields, threads=threads, spans=spans)

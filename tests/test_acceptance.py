@@ -29,6 +29,7 @@ from ssfmlab import (
     shape_pulse,
     sweep,
 )
+from ssfmlab.bandwidth import _select_best
 from ssfmlab.cli import main
 from ssfmlab.harness import preset_jobs
 
@@ -261,10 +262,12 @@ def test_criterion_10_property_roundup():
 
     # argmin containment: the chosen fraction is a grid point achieving the
     # minimum searched value
-    (result,) = search(tiny_scenario(), default_fractions(0.1))
-    assert result.best_fraction in result.fractions
-    assert result.best_nsd == min(result.nsd_values)
-    assert result.value_at(result.best_fraction) == result.best_nsd
+    fractions = default_fractions(0.1)
+    (curve,) = search(tiny_scenario(), fractions)
+    best_fraction, best_nsd = _select_best(fractions, curve)
+    assert best_fraction in fractions
+    assert best_nsd == min(curve)
+    assert curve[fractions.index(best_fraction)] == best_nsd
 
     # band limitation: stopband multiplier entries are exactly zero
     from ssfmlab import linear_multiplier

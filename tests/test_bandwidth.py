@@ -23,8 +23,9 @@ class TestDefaultFractions:
         assert grid[0] == 0.5 and grid[-1] == 1.0
 
     def test_rejects_non_dividing_step(self):
-        with pytest.raises(ValueError):
-            default_fractions(0.03)
+        for step in (0.03, -0.01, 0.0, math.nan):
+            with pytest.raises(ValueError, match="does not divide the 0.50..1.00 range"):
+                default_fractions(step)
 
 
 class TestSelectBest:
@@ -45,15 +46,24 @@ class TestSelectBest:
 class TestSweepBandwidth:
     def test_result_shape_and_best_point(self):
         scenario = tiny_scenario()
-        sweeps = search(scenario, (0.6, 0.8, 1.0))
-        assert sweeps == search(scenario, (0.6, 0.8, 1.0), spans=(scenario.fiber.span_km,))
-        (result,) = sweeps
-        assert result.fractions == (0.6, 0.8, 1.0)
-        assert len(result.nsd_values) == 3
-        assert all(v >= 0.0 for v in result.nsd_values)
-        assert result.best_nsd == min(result.nsd_values)
-        assert result.best_fraction in result.fractions
-        assert result.value_at(1.0) == result.nsd_values[-1]
+        grid = (0.6, 0.8, 1.0)
+        assert search(scenario, grid) == search(scenario, grid, spans=(scenario.fiber.span_km,))
+        launch_fields = runner.shaped_fields(scenario)
+        for spans in (None, (10.0, 20.0)):
+            curves = search(scenario, grid, spans=spans)
+            # one curve per span, each entry the seed mean of runner.fraction_nsds'
+            # row for that fraction, bit for bit
+            bench_fields = runner.benchmark_fields(scenario, spans)
+            per_seed = runner.fraction_nsds(scenario, grid, launch_fields, bench_fields, spans)
+            assert len(curves) == len(spans or (scenario.fiber.span_km,))
+            for curve, at_span in zip(curves, per_seed):
+                assert [v.hex() for v in curve] == [float(np.mean(row)).hex() for row in at_span]
+                assert len(curve) == 3
+                assert all(type(v) is float and v >= 0.0 for v in curve)
+                best_fraction, best_nsd = _select_best(grid, curve)
+                assert best_nsd == min(curve)
+                assert best_fraction in grid
+                assert curve[grid.index(1.0)] == curve[-1]
 
     def test_deterministic(self):
         scenario = tiny_scenario()
@@ -65,10 +75,11 @@ class TestSweepBandwidth:
         """Each fraction is scored independently from cached inputs, so a
         sweep over a sub-grid returns exactly the values of the full grid."""
         scenario = tiny_scenario()
-        (full,) = search(scenario, (0.5, 0.7, 0.9, 1.0))
-        (subset,) = search(scenario, (0.7, 1.0))
-        assert subset.value_at(0.7) == full.value_at(0.7)
-        assert subset.value_at(1.0) == full.value_at(1.0)
+        full_grid, subset_grid = (0.5, 0.7, 0.9, 1.0), (0.7, 1.0)
+        (full,) = search(scenario, full_grid)
+        (subset,) = search(scenario, subset_grid)
+        for fraction in (0.7, 1.0):
+            assert subset[subset_grid.index(fraction)] == full[full_grid.index(fraction)]
 
     def test_precomputed_fields_change_nothing(self):
         scenario = tiny_scenario()
@@ -96,8 +107,8 @@ class TestSweepBandwidth:
             candidate_dz_km=10.0,
             benchmark_dz_km=10.0,
         )
-        (result,) = search(scenario, (0.7, 1.0))
-        assert all(math.isinf(v) for v in result.nsd_values)
+        (curve,) = search(scenario, (0.7, 1.0))
+        assert len(curve) == 2 and all(math.isinf(v) for v in curve)
 
     @pytest.mark.parametrize(
         "fractions",
@@ -118,6 +129,8 @@ class TestSweepBandwidth:
             candidate_dz_km=1.0,
             benchmark_dz_km=0.5,
         )
-        (result,) = search(scenario, default_fractions(0.05))
-        assert result.best_fraction < 1.0
-        assert result.best_nsd < result.value_at(1.0)
+        grid = default_fractions(0.05)
+        (curve,) = search(scenario, grid)
+        best_fraction, best_nsd = _select_best(grid, curve)
+        assert best_fraction < 1.0
+        assert best_nsd < curve[grid.index(1.0)]

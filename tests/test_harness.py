@@ -22,6 +22,7 @@ from ssfmlab import (
     SweepResult,
     write_trace_csv,
 )
+from ssfmlab.bandwidth import _select_best
 from ssfmlab.harness import (
     _KEYS,
     _REQUIRED_KEYS,
@@ -240,11 +241,13 @@ class TestRunScenario:
 
     def test_optimize_returns_sweep_and_unfiltered_report(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))
-        (curve,) = search(scenario, (0.7, 0.9, 1.0))
+        grid = (0.7, 0.9, 1.0)
+        (curve,) = search(scenario, grid)
+        best_fraction, best_nsd = _select_best(grid, curve)
         result = self.run(scenario)
-        assert result.nsd_without_lpf[0] == curve.value_at(1.0)
-        assert result.nsd_with_lpf[0] == curve.best_nsd == min(curve.nsd_values)
-        assert result.chosen_fractions[0] == curve.best_fraction
+        assert result.nsd_without_lpf[0] == curve[grid.index(1.0)]
+        assert result.nsd_with_lpf[0] == best_nsd == min(curve)
+        assert result.chosen_fractions[0] == best_fraction
 
     def test_thread_count_does_not_change_results(self):
         scenario = tiny_scenario(optimize_fractions=(0.7, 0.9, 1.0))

@@ -4,6 +4,7 @@ scripts use still bind."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -29,8 +30,8 @@ def test_every_exported_name_resolves(name):
 
 def _public_names():
     """(qualified name, pattern) of every public function of ``ssfmlab`` and
-    every public method or property of its public classes; a method or
-    property is matched as ``.name``."""
+    every public method, property or dataclass field of its public classes; a
+    method, property or field is matched as ``.name``."""
     names = []
     for name in MODULES[1:]:
         module = importlib.import_module(name)
@@ -40,17 +41,21 @@ def _public_names():
             if inspect.isfunction(value):  # any line but its own def line
                 names.append((f"{name}.{attr}", rf"^(?!\s*def {attr}\b).*\b{attr}\b"))
             elif inspect.isclass(value):
-                for member, raw in vars(value).items():
-                    if member.startswith("_"):
-                        continue
-                    if isinstance(raw, (property, classmethod, staticmethod)) or inspect.isfunction(raw):
+                fields = dataclasses.fields(value) if dataclasses.is_dataclass(value) else ()
+                members = [f.name for f in fields] + [
+                    member for member, raw in vars(value).items()
+                    if isinstance(raw, (property, classmethod, staticmethod)) or inspect.isfunction(raw)
+                ]
+                for member in members:
+                    if not member.startswith("_"):
                         names.append((f"{name}.{attr}.{member}", rf"\.{member}\b"))
     return names
 
 
 def test_every_public_name_has_a_caller():
     """A public name that only tests use is surface to delete: each must be
-    named in the package outside its own ``def`` line, or in ``bench/``."""
+    named in the package outside its own ``def`` line, or in ``bench/``, and
+    each field of a public dataclass read there as ``.field``."""
     root = Path(__file__).resolve().parents[1]
     files = sorted((root / "src" / "ssfmlab").glob("*.py")) + sorted((root / "bench").glob("*.py"))
     text = "\n".join(path.read_text(encoding="utf-8") for path in files)
@@ -61,7 +66,9 @@ def test_every_public_name_has_a_caller():
 def test_points_are_scored_only_in_the_point_loop():
     """Every command that scores filter fractions goes through
     ``harness._sweep_points``: no other function of the package calls
-    ``sweep_bandwidth`` or ``runner.benchmark_fields``."""
+    ``sweep_bandwidth`` or ``runner.benchmark_fields``.  The best-fraction
+    rule is applied where a row is reported: only ``harness._row`` and
+    ``cli.cmd_optimize`` call ``_select_best``."""
     root = Path(__file__).resolve().parents[1] / "src" / "ssfmlab"
     callers = set()
     for path in sorted(root.glob("*.py")):
@@ -70,11 +77,14 @@ def test_points_are_scored_only_in_the_point_loop():
                 if not isinstance(node, ast.Call):
                     continue
                 name = ast.unparse(node.func)
-                if name.split(".")[-1] == "sweep_bandwidth" or name == "runner.benchmark_fields":
+                short = name.split(".")[-1]
+                if short in ("sweep_bandwidth", "_select_best") or name == "runner.benchmark_fields":
                     callers.add((f"{path.stem}.{getattr(top, 'name', '<module>')}", name))
     assert callers == {
         ("harness._sweep_points", "bandwidth.sweep_bandwidth"),
         ("harness._sweep_points", "runner.benchmark_fields"),
+        ("harness._row", "bandwidth._select_best"),
+        ("cli.cmd_optimize", "bandwidth._select_best"),
     }
 
 
