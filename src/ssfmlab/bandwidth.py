@@ -13,17 +13,9 @@ from . import runner
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
-__all__ = ["default_fractions", "sweep_bandwidth"]
+__all__ = ["sweep_bandwidth"]
 
 log = logging.getLogger(__name__)
-
-
-def default_fractions(step: float = 0.01) -> tuple[float, ...]:
-    """Search grid from 0.50 to 1.00 inclusive in steps of ``step``."""
-    count = round(0.5 / step) if step > 0.0 else 0  # so the check refuses step <= 0 and NaN
-    if not math.isclose(count * step, 0.5, rel_tol=1e-9):
-        raise ValueError(f"step {step} does not divide the 0.50..1.00 range")
-    return tuple(round(0.5 + i * step, 12) for i in range(count + 1))
 
 
 def _validate_fractions(fractions: Sequence[float]) -> tuple[float, ...]:

@@ -60,6 +60,27 @@ def _physical_bytes() -> float:
         return math.inf
 
 
+def parse_fraction_spec(text: str) -> tuple[float, ...]:
+    """Fraction grids are ``start:step:stop`` ranges or comma lists."""
+    text = text.strip()
+    try:
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(",") if p.strip())
+        start, step, stop = (float(p) for p in text.split(":"))
+        span = (stop - start) / step
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"cannot parse fraction grid {text!r}") from exc
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ScenarioError(f"range {text!r} does not lead from start to stop")
+    count = round(span) + 1
+    if count * 64 > _physical_bytes():  # 32 B a fraction in the tuple, 32 B in its NSD value
+        raise ScenarioError(f"out of memory: range {text!r} holds {count:.3g} fractions")
+    grid = tuple(round(start + i * step, 12) for i in range(count))
+    if not math.isclose(grid[-1], stop, rel_tol=1e-9):
+        raise ScenarioError(f"step does not divide the range in {text!r}")
+    return grid
+
+
 def _check_memory(scenario: Scenario, copies: int) -> None:
     """Refuse a run holding ``copies`` benchmark batches (the launch rows, the
     run's buffers, one snapshot per span) beyond physical memory."""
@@ -96,7 +117,7 @@ class Scenario:
     seeds: tuple[int, ...] = tuple(range(20))
     benchmark_spp: int = BENCHMARK_SPP
     benchmark_dz_km: float = BENCHMARK_DZ_KM
-    optimize_fractions: tuple[float, ...] = bandwidth.default_fractions()
+    optimize_fractions: tuple[float, ...] = parse_fraction_spec("0.5:0.01:1.0")
     candidate_grid: SamplingGrid = field(init=False, repr=False, compare=False)
     benchmark_grid: SamplingGrid = field(init=False, repr=False, compare=False)
 
@@ -161,27 +182,6 @@ def parse_seed_spec(text: str) -> Sequence[int]:
         return range(int(text))
     except ValueError as exc:
         raise ScenarioError(f"cannot parse seed spec {text!r}") from exc
-
-
-def parse_fraction_spec(text: str) -> tuple[float, ...]:
-    """Fraction grids are ``start:step:stop`` ranges or comma lists."""
-    text = text.strip()
-    try:
-        if ":" not in text:
-            return tuple(float(p) for p in text.split(",") if p.strip())
-        start, step, stop = (float(p) for p in text.split(":"))
-        span = (stop - start) / step
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"cannot parse fraction grid {text!r}") from exc
-    if not (math.isfinite(span) and span >= 0.0):
-        raise ScenarioError(f"range {text!r} does not lead from start to stop")
-    count = round(span) + 1
-    if count * 64 > _physical_bytes():  # 32 B a fraction in the tuple, 32 B in its NSD value
-        raise ScenarioError(f"out of memory: range {text!r} holds {count:.3g} fractions")
-    grid = tuple(round(start + i * step, 12) for i in range(count))
-    if not math.isclose(grid[-1], stop, rel_tol=1e-9):
-        raise ScenarioError(f"step does not divide the range in {text!r}")
-    return grid
 
 
 def _number(text: str) -> float:
@@ -429,7 +429,7 @@ def _preset_scenario(
 ) -> Scenario:
     """An optimizing preset scenario at full scale (256 symbols, 20 seeds, 0.01
     fraction grid) or desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 grid)."""
-    n_symbols, n_seeds, step = (64, desk_seeds, 0.05) if desk_scale else (256, 20, 0.01)
+    n_symbols, n_seeds, step = (64, desk_seeds, "0.05") if desk_scale else (256, 20, "0.01")
     return Scenario(
         fiber=FiberParams(span_km=span_km),
         launch=LaunchSpec(power_dbm=power_dbm),
@@ -437,7 +437,7 @@ def _preset_scenario(
         candidate_dz_km=dz_km,
         n_symbols=n_symbols,
         seeds=range(n_seeds),
-        optimize_fractions=bandwidth.default_fractions(step),
+        optimize_fractions=parse_fraction_spec(f"0.5:{step}:1.0"),
     )
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ssfmlab import (
-    FiberParams, LaunchSpec, Scenario, gen_symbols, make_grid, runner, shape_pulse, sweep_bandwidth,
-)
+from ssfmlab import runner
+from ssfmlab.bandwidth import sweep_bandwidth
+from ssfmlab.engine import FiberParams
+from ssfmlab.harness import Scenario
+from ssfmlab.signals import LaunchSpec, gen_symbols, make_grid, shape_pulse
 
 # CI boxes vary; deadlines only cause flakes on the FFT-heavy properties.
 settings.register_profile("default", deadline=None, derandomize=True)

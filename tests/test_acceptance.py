@@ -13,25 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from ssfmlab import (
-    PRESETS,
-    FiberParams,
-    LaunchSpec,
-    SsfmConfig,
-    Waveform,
-    default_fractions,
-    gen_symbols,
-    make_grid,
-    nsd,
-    propagate,
-    reproduce_fig2,
-    resample_bandlimited,
-    shape_pulse,
-    sweep,
-)
 from ssfmlab.bandwidth import _select_best
 from ssfmlab.cli import main
-from ssfmlab.harness import preset_jobs
+from ssfmlab.engine import FiberParams, SsfmConfig, propagate
+from ssfmlab.harness import PRESETS, parse_fraction_spec, preset_jobs, reproduce_fig2, sweep
+from ssfmlab.metrics import nsd
+from ssfmlab.signals import (
+    LaunchSpec,
+    Waveform,
+    gen_symbols,
+    make_grid,
+    resample_bandlimited,
+    shape_pulse,
+)
 
 from conftest import energy, search, tiny_scenario
 from reference_impl import analytic_dispersion, traditional_ssfm
@@ -262,7 +256,7 @@ def test_criterion_10_property_roundup():
 
     # argmin containment: the chosen fraction is a grid point achieving the
     # minimum searched value
-    fractions = default_fractions(0.1)
+    fractions = parse_fraction_spec("0.5:0.1:1.0")
     (curve,) = search(tiny_scenario(), fractions)
     best_fraction, best_nsd = _select_best(fractions, curve)
     assert best_fraction in fractions
@@ -270,7 +264,7 @@ def test_criterion_10_property_roundup():
     assert curve[fractions.index(best_fraction)] == best_nsd
 
     # band limitation: stopband multiplier entries are exactly zero
-    from ssfmlab import linear_multiplier
+    from ssfmlab.engine import linear_multiplier
 
     cfg = SsfmConfig(dz_km=1.0, n_seg=1, filter_fraction=0.7)
     h = linear_multiplier(grid, fiber, cfg)

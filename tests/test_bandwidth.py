@@ -3,29 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ssfmlab import FiberParams, default_fractions, runner, sweep_bandwidth
-from ssfmlab.bandwidth import _select_best
+from ssfmlab import runner
+from ssfmlab.bandwidth import _select_best, sweep_bandwidth
+from ssfmlab.engine import FiberParams
+from ssfmlab.harness import parse_fraction_spec
 
 from conftest import replace, search, tiny_scenario
-
-
-class TestDefaultFractions:
-    def test_standard_grid(self):
-        grid = default_fractions()
-        assert len(grid) == 51
-        assert grid[0] == 0.5
-        assert grid[-1] == 1.0
-        np.testing.assert_allclose(np.diff(grid), 0.01, rtol=1e-9)
-
-    def test_coarse_grid(self):
-        grid = default_fractions(0.05)
-        assert len(grid) == 11
-        assert grid[0] == 0.5 and grid[-1] == 1.0
-
-    def test_rejects_non_dividing_step(self):
-        for step in (0.03, -0.01, 0.0, math.nan):
-            with pytest.raises(ValueError, match="does not divide the 0.50..1.00 range"):
-                default_fractions(step)
 
 
 class TestSelectBest:
@@ -129,7 +112,7 @@ class TestSweepBandwidth:
             candidate_dz_km=1.0,
             benchmark_dz_km=0.5,
         )
-        grid = default_fractions(0.05)
+        grid = parse_fraction_spec("0.5:0.05:1.0")
         (curve,) = search(scenario, grid)
         best_fraction, best_nsd = _select_best(grid, curve)
         assert best_fraction < 1.0

@@ -5,24 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ssfmlab import (
+from ssfmlab import runner
+from ssfmlab.engine import (
     BENCHMARK_DZ_KM,
     BENCHMARK_SPP,
+    BLOCK_BYTES,
     FiberParams,
-    LaunchSpec,
     NumericalOverflowError,
-    Scenario,
     SsfmConfig,
-    Waveform,
-    gen_symbols,
     linear_multiplier,
-    make_grid,
-    nsd,
     propagate,
-    runner,
-    shape_pulse,
+    run_segments,
 )
-from ssfmlab.engine import BLOCK_BYTES, run_segments
+from ssfmlab.harness import Scenario
+from ssfmlab.metrics import nsd
+from ssfmlab.signals import LaunchSpec, Waveform, gen_symbols, make_grid, shape_pulse
 from conftest import energy, replace
 from reference_impl import analytic_dispersion, traditional_ssfm
 

@@ -7,29 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ssfmlab import (
-    FiberParams,
-    default_fractions,
-    runner,
-    Scenario,
-    ScenarioError,
-    emit_csv,
-    load_scenario,
-    parse_scenario,
-    preset_jobs,
-    reproduce_fig2,
-    sweep,
-    SweepResult,
-    write_trace_csv,
-)
+from ssfmlab import runner
 from ssfmlab.bandwidth import _select_best
+from ssfmlab.engine import FiberParams
 from ssfmlab.harness import (
     _KEYS,
     _REQUIRED_KEYS,
     AXES,
     PRESETS,
+    Scenario,
+    ScenarioError,
+    SweepResult,
+    emit_csv,
+    load_scenario,
     parse_fraction_spec,
+    parse_scenario,
     parse_seed_spec,
+    preset_jobs,
+    reproduce_fig2,
+    sweep,
+    write_trace_csv,
 )
 
 from conftest import replace, search, tiny_scenario
@@ -56,7 +53,7 @@ class TestParseScenario:
         assert s.seeds == tuple(range(20))
         assert s.benchmark_spp == 30
         assert s.benchmark_dz_km == 0.1
-        assert s.optimize_fractions == default_fractions()
+        assert s.optimize_fractions == parse_fraction_spec("0.5:0.01:1.0")
 
     def test_full_file_with_comments(self):
         text = """
@@ -140,8 +137,20 @@ class TestParseScenario:
     def test_fraction_specs(self):
         assert parse_fraction_spec("0.5:0.1:0.7") == (0.5, 0.6, 0.7)
         assert parse_fraction_spec("0.8,1.0") == (0.8, 1.0)
-        with pytest.raises(ScenarioError):
-            parse_fraction_spec("0.5:0.3:1.0")
+        for spec, count, step in (("0.5:0.01:1.0", 51, 0.01), ("0.5:0.05:1.0", 11, 0.05)):
+            grid = parse_fraction_spec(spec)
+            assert len(grid) == count
+            assert grid[0] == 0.5 and grid[-1] == 1.0
+            np.testing.assert_allclose(np.diff(grid), step, rtol=1e-9)
+        for spec, message in (
+            ("0.5:0.3:1.0", "step does not divide"),
+            ("0.5:0.03:1.0", "step does not divide"),
+            ("0.5:0:1.0", "cannot parse"),
+            ("0.5:-0.01:1.0", "does not lead from start to stop"),
+            ("0.5:nan:1.0", "does not lead from start to stop"),
+        ):
+            with pytest.raises(ScenarioError, match=message):
+                parse_fraction_spec(spec)
 
     def test_load_scenario_round_trip(self, tmp_path):
         path = tmp_path / "scenario.txt"

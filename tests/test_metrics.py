@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ssfmlab import (
-    DegenerateInputError,
+from ssfmlab.metrics import DegenerateInputError, nsd
+from ssfmlab.signals import (
     LaunchSpec,
     Waveform,
     gen_symbols,
     make_grid,
-    nsd,
     resample_bandlimited,
     shape_pulse,
 )

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssfmlab import FiberParams, engine, runner
+from ssfmlab import engine, runner
+from ssfmlab.engine import FiberParams
 
 from conftest import tiny_scenario
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ssfmlab import (
+from ssfmlab.signals import (
     QAM16,
     LaunchSpec,
     Waveform,
