@@ -6,9 +6,41 @@ import pytest
 from ssfmlab import runner
 from ssfmlab.bandwidth import _select_best, sweep_bandwidth
 from ssfmlab.engine import FiberParams
-from ssfmlab.harness import parse_fraction_spec
+from ssfmlab.harness import ScenarioError, _preset_scenario, parse_fraction_spec
 
 from conftest import replace, search, tiny_scenario
+
+
+class TestDefaultFractions:
+    """The fraction grids a scenario searches unless it names its own: the
+    ``Scenario`` default and the full-scale presets step by 0.01, the desk
+    presets by 0.05, each spelled as a ``parse_fraction_spec`` range."""
+
+    def test_standard_grid(self):
+        for grid in (
+            tiny_scenario().optimize_fractions,
+            _preset_scenario(16, 10.0, False, 3, 100.0, 0.1).optimize_fractions,
+        ):
+            assert len(grid) == 51
+            assert grid[0] == 0.5
+            assert grid[-1] == 1.0
+            np.testing.assert_allclose(np.diff(grid), 0.01, rtol=1e-9)
+
+    def test_coarse_grid(self):
+        grid = _preset_scenario(16, 10.0, True, 3, 100.0, 0.1).optimize_fractions
+        assert len(grid) == 11
+        assert grid[0] == 0.5 and grid[-1] == 1.0
+        np.testing.assert_allclose(np.diff(grid), 0.05, rtol=1e-9)
+
+    def test_rejects_non_dividing_step(self):
+        for step, message in (
+            ("0.03", "step does not divide"),
+            ("0", "cannot parse"),
+            ("-0.01", "does not lead from start to stop"),
+            ("nan", "does not lead from start to stop"),
+        ):
+            with pytest.raises(ScenarioError, match=message):
+                parse_fraction_spec(f"0.5:{step}:1.0")
 
 
 class TestSelectBest:
