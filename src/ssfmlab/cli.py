@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import bandwidth, harness
+from . import harness
 from .engine import NumericalOverflowError
 from .harness import OPTIMIZE, Scenario, ScenarioError
 from .metrics import nsd
@@ -181,7 +181,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if fractions is not None:
         scenario = dataclasses.replace(scenario, optimize_fractions=fractions)
     result = harness.sweep("bandwidth", scenario, scenario.optimize_fractions, threads=args.threads)
-    best_fraction, best_nsd = bandwidth._select_best(result.axis_values, result.nsd_with_lpf)
+    best_fraction, best_nsd = harness._select_best(result.axis_values, result.nsd_with_lpf)
     print(
         f"best filter_fraction = {harness._fmt_axis(best_fraction)} "
         f"with nsd = {harness._fmt(best_nsd)} "

@@ -207,9 +207,11 @@ def propagate(wave: Waveform, fiber: FiberParams, cfg: SsfmConfig) -> Waveform:
         raise ValueError(f"input waveform must be at z = 0, got z = {wave.z_km} km")
     _check_span(cfg, fiber.span_km)
     h = linear_multiplier(wave.grid, fiber, cfg)
-    snapshots = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, range(1, cfg.n_seg + 1))
-    for seg, field in enumerate(snapshots, start=1):
-        if not np.all(np.isfinite(field)):
-            raise NumericalOverflowError(seg)
+    (field,) = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, [cfg.n_seg])
+    if not np.all(np.isfinite(field)):  # a non-finite value stays so: rerun to name its segment
+        snapshots = run_segments(wave.samples, h, fiber.gamma * cfg.dz_km, range(1, cfg.n_seg + 1))
+        for seg, field in enumerate(snapshots, start=1):
+            if not np.all(np.isfinite(field)):
+                raise NumericalOverflowError(seg)
     return Waveform(samples=field, grid=wave.grid, z_km=fiber.span_km)
 

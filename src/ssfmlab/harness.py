@@ -81,6 +81,19 @@ def parse_fraction_spec(text: str) -> tuple[float, ...]:
     return grid
 
 
+def _validate_fractions(fractions: Sequence[float]) -> None:
+    fractions = tuple(float(f) for f in fractions)
+    if not fractions:
+        raise ValueError("fraction grid is empty")
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise ValueError(f"filter fraction {f} outside (0, 1]")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValueError("fraction grid must be strictly ascending")
+    if fractions[-1] != 1.0:
+        raise ValueError("fraction grid must contain 1.0")
+
+
 def _check_memory(scenario: Scenario, copies: int) -> None:
     """Refuse a run holding ``copies`` benchmark batches (the launch rows, the
     run's buffers, one snapshot per span) beyond physical memory."""
@@ -140,7 +153,7 @@ class Scenario:
             )
         try:  # refuse malformed grids and steps before any command propagates
             for grid in (self.optimize_fractions, _point_grid(self)):
-                bandwidth._validate_fractions(grid)
+                _validate_fractions(grid)
             for dz_km in (self.candidate_dz_km, self.benchmark_dz_km):
                 SsfmConfig.from_step(self.fiber.span_km, dz_km)
             n, symbol_time = self.n_symbols, self.launch.symbol_time
@@ -282,13 +295,20 @@ def seed_run(scenario: Scenario, seed: int, fraction: float) -> Waveform:
     return propagate(wave, scenario.fiber, cfg)
 
 
+def _select_best(fractions: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
+    """Smallest NSD wins; ties go to the largest fraction."""
+    best = min(values)
+    tied = [fraction for fraction, value in zip(fractions, values) if value == best]
+    return max(tied), best
+
+
 def _row(
     point: Scenario, grid: tuple[float, ...], curve: tuple[float, ...]
 ) -> tuple[float, float, float]:
     """One sweep CSV row off the point's NSD ``curve`` over ``grid``: (NSD without filter,
     NSD at the chosen fraction, that fraction), the best one if optimizing, else the pinned one."""
     pinned = point.filter_fraction
-    fraction = bandwidth._select_best(grid, curve)[0] if pinned == OPTIMIZE else float(pinned)
+    fraction = _select_best(grid, curve)[0] if pinned == OPTIMIZE else float(pinned)
     return curve[grid.index(1.0)], curve[grid.index(fraction)], fraction
 
 
@@ -361,7 +381,8 @@ def _sweep_points(
         if run_key != key:
             bench_fields = None  # drop the last benchmark before running the next
             key, bench_fields = run_key, runner.benchmark_fields(run, spans, threads)
-        at_spans = bandwidth.sweep_bandwidth(run, grid, bench_fields, threads=threads, spans=spans)
+        launch_fields = runner.shaped_fields(run)
+        at_spans = bandwidth.sweep_bandwidth(run, grid, launch_fields, bench_fields, threads, spans)
         for span, curve in zip(spans, at_spans):
             curves[run, span] = grid, curve
     rows = (_row(point, *curves[run, point.fiber.span_km]) for run, point in zip(runs, points))

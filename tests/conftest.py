@@ -65,7 +65,9 @@ def replace(scenario, **overrides):
 
 
 def search(scenario, fractions, threads=0, spans=None):
-    """``sweep_bandwidth`` scored against a benchmark run of its own: one NSD
-    curve per span, the seed mean of each of ``fractions`` in grid order."""
+    """``sweep_bandwidth`` from the scenario's shaped rows, scored against a
+    benchmark run of its own: one NSD curve per span, the seed mean of each of
+    ``fractions`` in grid order."""
+    launch_fields = runner.shaped_fields(scenario)
     bench_fields = runner.benchmark_fields(scenario, spans, threads)
-    return sweep_bandwidth(scenario, fractions, bench_fields, threads=threads, spans=spans)
+    return sweep_bandwidth(scenario, fractions, launch_fields, bench_fields, threads, spans)

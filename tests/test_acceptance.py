@@ -13,10 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from ssfmlab.bandwidth import _select_best
 from ssfmlab.cli import main
 from ssfmlab.engine import FiberParams, SsfmConfig, propagate
-from ssfmlab.harness import PRESETS, parse_fraction_spec, preset_jobs, reproduce_fig2, sweep
+from ssfmlab.harness import (
+    PRESETS,
+    _select_best,
+    parse_fraction_spec,
+    preset_jobs,
+    reproduce_fig2,
+    sweep,
+)
 from ssfmlab.metrics import nsd
 from ssfmlab.signals import (
     LaunchSpec,

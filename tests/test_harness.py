@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ssfmlab import runner
-from ssfmlab.bandwidth import _select_best
 from ssfmlab.engine import FiberParams
 from ssfmlab.harness import (
     _KEYS,
     _REQUIRED_KEYS,
+    _select_best,
     AXES,
     PRESETS,
     Scenario,
@@ -202,6 +202,23 @@ class TestScenarioValidation:
             tiny_scenario(candidate_spp=16)  # benchmark_spp is 12
         with pytest.raises(ScenarioError):
             tiny_scenario(candidate_dz_km=0.1)  # benchmark_dz_km is 0.5
+
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [
+            ((), "fraction grid is empty"),
+            ((0.8, 0.6, 1.0), "fraction grid must be strictly ascending"),
+            ((0.6, 0.8), "fraction grid must contain 1.0"),
+            ((0.0, 1.0), "filter fraction 0.0 outside (0, 1]"),
+            ((0, 1), "filter fraction 0.0 outside (0, 1]"),
+            ((0.5, 1.5), "filter fraction 1.5 outside (0, 1]"),
+        ],
+        ids=["empty", "descending", "without-1", "zero", "int-zero", "above-1"],
+    )
+    def test_rejects_bad_fraction_grids(self, fractions, message):
+        with pytest.raises(ScenarioError) as exc:
+            tiny_scenario(optimize_fractions=fractions)
+        assert str(exc.value) == message
 
     def test_memory_bound_reads_no_fraction_grid(self, monkeypatch):
         """Candidate responses are built a row block at a time, so 50,001

@@ -79,10 +79,13 @@ def test_every_public_name_has_a_caller():
 
 def test_points_are_scored_only_in_the_point_loop():
     """Every command that scores filter fractions goes through
-    ``harness._sweep_points``: no other function of the package calls
-    ``sweep_bandwidth`` or ``runner.benchmark_fields``.  The best-fraction
-    rule is applied where a row is reported: only ``harness._row`` and
-    ``cli.cmd_optimize`` call ``_select_best``."""
+    ``harness._sweep_points``: no other function of the package shapes the
+    launch rows, runs the benchmark or calls ``sweep_bandwidth``, and
+    ``bandwidth`` holds that one scorer.  The fraction rules live in
+    ``harness``: only ``Scenario`` checks a grid, and the best-fraction rule
+    is applied where a row is reported, by ``harness._row`` and
+    ``cli.cmd_optimize``."""
+    watched = ("shaped_fields", "benchmark_fields", "sweep_bandwidth", "_validate_fractions", "_select_best")
     root = Path(__file__).resolve().parents[1] / "src" / "ssfmlab"
     callers = set()
     for path in sorted(root.glob("*.py")):
@@ -91,15 +94,21 @@ def test_points_are_scored_only_in_the_point_loop():
                 if not isinstance(node, ast.Call):
                     continue
                 name = ast.unparse(node.func)
-                short = name.split(".")[-1]
-                if short in ("sweep_bandwidth", "_select_best") or name == "runner.benchmark_fields":
+                if name.split(".")[-1] in watched:
                     callers.add((f"{path.stem}.{getattr(top, 'name', '<module>')}", name))
     assert callers == {
         ("harness._sweep_points", "bandwidth.sweep_bandwidth"),
         ("harness._sweep_points", "runner.benchmark_fields"),
-        ("harness._row", "bandwidth._select_best"),
-        ("cli.cmd_optimize", "bandwidth._select_best"),
+        ("harness._sweep_points", "runner.shaped_fields"),
+        ("harness.Scenario", "_validate_fractions"),
+        ("harness._row", "_select_best"),
+        ("cli.cmd_optimize", "harness._select_best"),
     }
+    defined = [
+        name for name, value in vars(bandwidth).items()
+        if inspect.isfunction(value) and value.__module__ == bandwidth.__name__
+    ]
+    assert defined == ["sweep_bandwidth"]
 
 
 def _bound(fn, *args, **kwargs):
