@@ -43,7 +43,7 @@ def _add_common(
             type=int,
             default=0,
             metavar="N",
-            help="worker threads, at most one per CPU; 0 = one per CPU (default)",
+            help="worker processes, at most one per CPU; 0 = one per CPU (default)",
         )
 
 

@@ -116,8 +116,9 @@ class Scenario:
     """One candidate run plus the benchmark it is compared against.
 
     ``seeds`` may be given as any sequence (a ``range`` stays lazy until the
-    memory bound below has passed) and is stored as a tuple.  The candidate
-    and benchmark sampling grids are derived once, on construction, and both
+    memory bound below has passed) and is stored as a tuple, and
+    ``optimize_fractions`` as a tuple of floats.  The candidate and
+    benchmark sampling grids are derived once, on construction, and both
     steps must cut the span into whole segments.
     """
 
@@ -163,6 +164,7 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         # the bound reads n_symbols and benchmark_spp, which make_grid has checked
         _check_memory(self, copies=3)
+        object.__setattr__(self, "optimize_fractions", tuple(map(float, self.optimize_fractions)))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if min(self.seeds) < 0:
             raise ScenarioError(f"seeds must be non-negative, got {min(self.seeds)}")

@@ -6,11 +6,12 @@ together as the rows of one 2-D field array, which keeps long sweeps cheap;
 a candidate stacks the seeds of every filter fraction of its grid.  Each
 run is split into contiguous row blocks of at most
 :data:`engine.BLOCK_BYTES`, in whole rounds of one pool of at most one
-worker thread per CPU; a candidate block builds the filtered responses of
-its own rows.  Every block passes the byte size of its logical batch (all
-seeds of one benchmark or one fraction) to :func:`engine.run_segments`,
-which pins the Kerr multiply order by it, so a row's bits do not depend on
-how the rows are blocked or on the thread count.
+worker process per CPU, forked (POSIX ``fork``) from the calling process;
+a candidate block builds the filtered responses of its own rows.  Every
+block passes the byte size of its logical batch (all seeds of one benchmark
+or one fraction) to :func:`engine.run_segments`, which pins the Kerr
+multiply order by it, so a row's bits do not depend on how the rows are
+blocked or on the worker count.
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+import signal
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,22 +49,48 @@ def shaped_fields(scenario: "Scenario") -> np.ndarray:
     return _shaped_batch(scenario, scenario.candidate_grid)
 
 
-def _run_blocks(task: Callable[[range], None], rows: int, row_bytes: int, threads: int) -> None:
-    """Call ``task`` on contiguous row ranges, on one pool of worker threads.
+_task: Callable[[range], Any] | None = None  # a worker's block task, set by _install
+
+
+def _install(task: Callable[[range], Any]) -> None:
+    """Worker initializer: keep the forked task and leave Ctrl-C to the parent."""
+    global _task
+    _task = task
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _call(block: range) -> Any:
+    return _task(block)
+
+
+def _run_blocks(
+    task: Callable[[range], Any], rows: int, row_bytes: int, threads: int
+) -> list[tuple[range, Any]]:
+    """Call ``task`` on contiguous row ranges in forked worker processes.
 
     The pool has ``threads`` workers (0 = one per CPU), but at most one per
     CPU and one per row.  The ranges hold at most :data:`engine.BLOCK_BYTES`
     (a single row may hold more), and their count is the fewest whole rounds
-    of the pool, capped at one range per row.
+    of the pool, capped at one range per row.  The ``fork`` start method is
+    requested by name, so each worker inherits ``task`` and the data it
+    closes over; only the ranges and ``task``'s results are pickled.  The
+    pool forks all its workers before it starts its own thread, and the
+    package starts no other, so each fork copies a one-thread process.
+    Returns (range, result) pairs in row order.
     """
+    # imported here, so that commands that open no pool do not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, rows)
     per_block = max(1, engine.BLOCK_BYTES // row_bytes)
     count = min(rows, workers * math.ceil(rows / (per_block * workers)))
     bounds = [rows * i // count for i in range(count + 1)]
     blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(task, blocks))  # re-raises a block's exception
+    fork = multiprocessing.get_context("fork")  # by name: the default varies by Python version
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_install, initargs=(task,)) as pool:
+        return list(zip(blocks, pool.map(_call, blocks)))  # re-raises a block's exception
 
 
 def _stops(dz_km: float, spans: Sequence[float]) -> list[int]:
@@ -92,13 +119,12 @@ def benchmark_fields(
     stops = _stops(scenario.benchmark_dz_km, spans)
     out = np.empty((len(stops),) + fields.shape, dtype=np.complex128)
 
-    def run(block: range) -> None:
-        rows = slice(block.start, block.stop)
-        snapshots = engine.run_segments(fields[rows], h, gamma_dz, stops, fields.nbytes)
-        for j, snapshot in enumerate(snapshots):
-            out[j, rows] = snapshot
+    def run(block: range) -> list[np.ndarray]:
+        rows = fields[block.start : block.stop]
+        return list(engine.run_segments(rows, h, gamma_dz, stops, fields.nbytes))
 
-    _run_blocks(run, len(fields), fields[0].nbytes, threads)
+    for block, snapshots in _run_blocks(run, len(fields), fields[0].nbytes, threads):
+        out[:, block.start : block.stop] = snapshots
     return out
 
 
@@ -129,22 +155,25 @@ def fraction_nsds(
     n_seeds = len(launch_fields)
     values = np.empty((len(spans), len(fractions) * n_seeds))
 
-    def run(block: range) -> None:
+    def run(block: range) -> np.ndarray:
         which, seeds = np.divmod(np.arange(block.start, block.stop), n_seeds)
         h = np.array([_response(scenario, grid_c, dz_km, fractions[k]) for k in which])
         # Each fraction's run of all seeds is the logical batch its bits follow.
         snapshots = engine.run_segments(
             launch_fields[seeds], h, gamma_dz, stops, launch_fields.nbytes
         )
+        scores = np.empty((len(spans), len(block)))
         for j, (span, outputs) in enumerate(zip(spans, snapshots)):
-            for row, seed, out_row in zip(block, seeds, outputs):
+            for i, (seed, out_row) in enumerate(zip(seeds, outputs)):
                 bench_row = bench_fields[j, seed]
                 if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
-                    values[j, row] = math.inf
+                    scores[j, i] = math.inf
                     continue
                 reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
                 candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
-                values[j, row] = nsd(reference, candidate)
+                scores[j, i] = nsd(reference, candidate)
+        return scores
 
-    _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads)
+    for block, scores in _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads):
+        values[:, block.start : block.stop] = scores
     return values.reshape(len(spans), len(fractions), n_seeds)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import logging
 import math
+import multiprocessing.process
 import os
 import re
 import threading
@@ -28,6 +29,10 @@ filter_fraction = {fraction}
 """
 # Just above three benchmark batches of TINY (2 seeds x 16 symbols x 12 samples x 16 B).
 THREE_BATCHES = 3 * 2 * 16 * 12 * 16 + 1
+
+
+def refuse_process(*args, **kwargs):
+    raise AssertionError("a worker process was started")
 
 
 @pytest.fixture
@@ -220,6 +225,8 @@ class TestSweep:
     ):
         runs = []
         monkeypatch.setattr(engine, "run_segments", lambda *args: runs.append(args) or iter(()))
+        # a forked worker's call would not reach ``runs``
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_process)
         code = main(["sweep", "--axis", "distance", "--values", values, "--config", config()])
         assert code == 2
         assert capsys.readouterr().err.strip().splitlines()[-1] == message
@@ -379,7 +386,7 @@ class TestMalformedGrids:
 
 class TestRefusedBeforeAnyWork:
     """Requests the machine cannot serve end with exit 2 and one error line
-    before any batch is shaped, any segment runs or any thread starts."""
+    before any batch is shaped, any segment runs or any thread or worker process starts."""
 
     @pytest.fixture(autouse=True)
     def nothing_runs(self, monkeypatch):
@@ -390,6 +397,7 @@ class TestRefusedBeforeAnyWork:
         monkeypatch.setattr(harness, "shape_pulse", refuse)
         monkeypatch.setattr(engine, "run_segments", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
     @pytest.mark.parametrize(
         "argv",

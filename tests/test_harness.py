@@ -220,6 +220,14 @@ class TestScenarioValidation:
             tiny_scenario(optimize_fractions=fractions)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("fractions", [[0.5, 1.0], (0.5, 1)], ids=["list", "int"])
+    def test_fraction_grid_is_stored_as_float_tuple(self, fractions):
+        """A list or an int grid sweeps like the float tuple a scenario file gives."""
+        result = sweep("distance", tiny_scenario(optimize_fractions=fractions), (20.0,))
+        expected = sweep("distance", tiny_scenario(optimize_fractions=(0.5, 1.0)), (20.0,))
+        assert result == expected
+        assert all(type(f) is float for f in result.chosen_fractions)
+
     def test_memory_bound_reads_no_fraction_grid(self, monkeypatch):
         """Candidate responses are built a row block at a time, so 50,001
         fractions of 4,096 candidate samples (3.3 GB as one stack) weigh

@@ -1,3 +1,9 @@
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -5,6 +11,7 @@ import numpy as np
 import pytest
 
 from ssfmlab import engine, runner
+from ssfmlab.cli import main
 from ssfmlab.engine import FiberParams
 
 from conftest import tiny_scenario
@@ -60,9 +67,11 @@ class TestFractionNsds:
                 for seed in range(5):
                     assert grid[j, k, seed] == alone[j, 0, seed], (j, fraction, seed)
 
-    def test_holds_no_response_per_fraction(self):
+    def test_holds_no_response_per_fraction(self, recording_pool):
         """Each row block builds its own rows' responses, so a 501-fraction
-        grid never holds the 12.3 MB that one response per fraction takes."""
+        grid never holds the 12.3 MB that one response per fraction takes.
+        The blocks run inline, where ``tracemalloc`` sees them, and the
+        peak holds at least one 10-row block's responses."""
         scenario = tiny_scenario(  # 1,536 candidate samples, one 2 km segment
             fiber=FiberParams(beta2=-21.7, gamma=1.27, span_km=2.0), n_symbols=256, seeds=(0,)
         )
@@ -77,17 +86,23 @@ class TestFractionNsds:
         finally:
             tracemalloc.stop()
         assert values.shape == (1, 501, 1) and np.all(np.isfinite(values))
-        assert peak < stack_bytes, f"peak {peak / 1e6:.1f} MB"
+        assert 10 * scenario.candidate_grid.n_samples * 16 <= peak < stack_bytes, (
+            f"peak {peak / 1e6:.1f} MB"
+        )
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Stand in for ``ThreadPoolExecutor`` with a pool that records its size
-    and blocks and runs every block inline, so no thread is started."""
+    """Stand in for the forked ``ProcessPoolExecutor`` with a pool that
+    records its size and blocks and runs every block inline through the task
+    it installs in its workers, so no thread or process is started."""
     pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert mp_context.get_start_method() == "fork"
+            assert initializer is runner._install
+            (self.task,) = initargs
             pools.append({"max_workers": max_workers, "blocks": []})
 
         def __enter__(self):
@@ -97,14 +112,16 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, blocks):
+            assert fn is runner._call
             pools[-1]["blocks"].extend(blocks)
-            return [fn(block) for block in pools[-1]["blocks"]]
+            return [self.task(block) for block in pools[-1]["blocks"]]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
+        raise AssertionError("a thread or process was started")
 
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     return pools
 
 
@@ -136,11 +153,12 @@ class TestRunBlocks:
     ):
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         seen = []
-        runner._run_blocks(seen.append, rows, row_bytes, threads)
+        results = runner._run_blocks(seen.append, rows, row_bytes, threads)
         (pool,) = recording_pool
         workers, blocks = pool["max_workers"], pool["blocks"]
         assert workers == min(threads or cpus, cpus, rows)
         assert seen == blocks
+        assert results == [(block, None) for block in blocks]
         assert [row for block in blocks for row in block] == list(range(rows))
         assert all(len(block) > 0 for block in blocks)
         assert len(blocks) % workers == 0 or len(blocks) == rows
@@ -149,3 +167,48 @@ class TestRunBlocks:
         # one round fewer would need a block beyond BLOCK_BYTES
         per_block = max(1, engine.BLOCK_BYTES // row_bytes)
         assert len(blocks) <= workers or (len(blocks) - workers) * per_block < rows
+
+    def test_block_error_reraises_in_the_parent(self, tmp_path, monkeypatch, capsys):
+        """A worker's exception comes back with its type and message, and
+        ``main`` reports it as it would an error in its own process."""
+        config = tmp_path / "scenario.txt"
+        config.write_text("span_km = 8\npower_dbm = 6\ncandidate_spp = 6\ncandidate_dz_km = 2\n"
+                          "benchmark_spp = 12\nbenchmark_dz_km = 0.5\nn_symbols = 16\nseeds = 2\n",
+                          encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+        def exhausted(*args):
+            raise MemoryError("block")
+
+        monkeypatch.setattr(engine, "run_segments", exhausted)
+        with pytest.raises(MemoryError) as exc:
+            runner.benchmark_fields(five_seeds(large=False), threads=2)
+        assert type(exc.value) is MemoryError and str(exc.value) == "block"
+        assert main(["sweep", "--axis", "distance", "--values", "8", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "error: out of memory: block"
+
+    def test_no_worker_outlives_its_call(self):
+        scenario = five_seeds(large=False)
+        launch = runner.shaped_fields(scenario)
+        bench = runner.benchmark_fields(scenario, threads=2)
+        runner.fraction_nsds(scenario, (0.6, 1.0), launch, bench, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_leave_ctrl_c_to_the_parent(self, monkeypatch):
+        """Workers ignore SIGINT, so Ctrl-C raises one ``KeyboardInterrupt``
+        in the parent and no worker prints a traceback."""
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        handlers = runner._run_blocks(
+            lambda block: signal.getsignal(signal.SIGINT), 2, engine.BLOCK_BYTES, 2
+        )
+        assert [handler for _, handler in handlers] == [signal.SIG_IGN, signal.SIG_IGN]
+        assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+
+    def test_cli_import_leaves_the_pool_machinery_out(self):
+        """The pool's modules are imported when a pool opens, so a command's
+        start-up does not pay for them."""
+        probe = "import sys, ssfmlab.cli; print('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(runner.__file__))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
