@@ -75,7 +75,7 @@ def _run_blocks(
     requested by name, so each worker inherits ``task`` and the data it
     closes over; only the ranges and ``task``'s results are pickled.  The
     pool forks all its workers before it starts its own thread, and the
-    package starts no other, so each fork copies a one-thread process.
+    package starts no other, so no other Python thread runs while it forks.
     Returns (range, result) pairs in row order.
     """
     # imported here, so that commands that open no pool do not pay for it
