@@ -7,11 +7,12 @@ a candidate stacks the seeds of every filter fraction of its grid.  Each
 run is split into contiguous row blocks of at most
 :data:`engine.BLOCK_BYTES`, in whole rounds of one pool of at most one
 worker process per CPU, forked (POSIX ``fork``) from the calling process;
-a candidate block builds the filtered responses of its own rows.  Every
-block passes the byte size of its logical batch (all seeds of one benchmark
-or one fraction) to :func:`engine.run_segments`, which pins the Kerr
-multiply order by it, so a row's bits do not depend on how the rows are
-blocked or on the worker count.
+each block writes its rows of the result into memory the workers share
+with the caller, and a candidate block builds the filtered responses of
+its own rows.  Every block passes the byte size of its logical batch (all
+seeds of one benchmark or one fraction) to :func:`engine.run_segments`,
+which pins the Kerr multiply order by it, so a row's bits do not depend on
+how the rows are blocked or on the worker count.
 Shorter spans are read off the run to the farthest one, of which they are
 prefixes.  Rows that diverge to non-finite values are reported as
 NSD = +inf instead of aborting the run.
@@ -20,9 +21,10 @@ NSD = +inf instead of aborting the run.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -49,23 +51,29 @@ def shaped_fields(scenario: "Scenario") -> np.ndarray:
     return _shaped_batch(scenario, scenario.candidate_grid)
 
 
-_task: Callable[[range], Any] | None = None  # a worker's block task, set by _install
+def _shared(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """An array in anonymous shared memory, so the writes of workers forked
+    after it is made reach the caller; no copy of it is sent back."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # mmap refuses 0 bytes
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
-def _install(task: Callable[[range], Any]) -> None:
+_task: Callable[[range], None] | None = None  # a worker's block task, set by _install
+
+
+def _install(task: Callable[[range], None]) -> None:
     """Worker initializer: keep the forked task and leave Ctrl-C to the parent."""
     global _task
     _task = task
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _call(block: range) -> Any:
-    return _task(block)
+def _call(block: range) -> None:
+    _task(block)
 
 
-def _run_blocks(
-    task: Callable[[range], Any], rows: int, row_bytes: int, threads: int
-) -> list[tuple[range, Any]]:
+def _run_blocks(task: Callable[[range], None], rows: int, row_bytes: int, threads: int) -> None:
     """Call ``task`` on contiguous row ranges in forked worker processes.
 
     The pool has ``threads`` workers (0 = one per CPU), but at most one per
@@ -73,14 +81,16 @@ def _run_blocks(
     (a single row may hold more), and their count is the fewest whole rounds
     of the pool, capped at one range per row.  The ``fork`` start method is
     requested by name, so each worker inherits ``task`` and the data it
-    closes over; only the ranges and ``task``'s results are pickled.  The
-    pool forks all its workers before it starts its own thread, and the
-    package starts no other, so no other Python thread runs while it forks.
-    Returns (range, result) pairs in row order.
+    closes over, and only the ranges are pickled; ``task`` writes its
+    results into arrays from :func:`_shared`.  A worker killed while it
+    runs raises :class:`MemoryError`.  The pool forks all its workers
+    before it starts its own thread, and the package starts no other, so
+    no other Python thread runs while it forks.
     """
     # imported here, so that commands that open no pool do not pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, rows)
@@ -90,7 +100,10 @@ def _run_blocks(
     blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     fork = multiprocessing.get_context("fork")  # by name: the default varies by Python version
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_install, initargs=(task,)) as pool:
-        return list(zip(blocks, pool.map(_call, blocks)))  # re-raises a block's exception
+        try:
+            list(pool.map(_call, blocks))  # re-raises a block's exception
+        except BrokenProcessPool as exc:  # the kernel kills a worker when memory runs out
+            raise MemoryError("a worker process was killed") from exc
 
 
 def _stops(dz_km: float, spans: Sequence[float]) -> list[int]:
@@ -117,14 +130,15 @@ def benchmark_fields(
     h = _response(scenario, grid, scenario.benchmark_dz_km, 1.0)
     gamma_dz = scenario.fiber.gamma * scenario.benchmark_dz_km
     stops = _stops(scenario.benchmark_dz_km, spans)
-    out = np.empty((len(stops),) + fields.shape, dtype=np.complex128)
+    out = _shared((len(stops),) + fields.shape, np.complex128)
 
-    def run(block: range) -> list[np.ndarray]:
-        rows = fields[block.start : block.stop]
-        return list(engine.run_segments(rows, h, gamma_dz, stops, fields.nbytes))
+    def run(block: range) -> None:
+        rows = slice(block.start, block.stop)
+        snapshots = engine.run_segments(fields[rows], h, gamma_dz, stops, fields.nbytes)
+        for j, snapshot in enumerate(snapshots):
+            out[j, rows] = snapshot
 
-    for block, snapshots in _run_blocks(run, len(fields), fields[0].nbytes, threads):
-        out[:, block.start : block.stop] = snapshots
+    _run_blocks(run, len(fields), fields[0].nbytes, threads)
     return out
 
 
@@ -153,27 +167,24 @@ def fraction_nsds(
     gamma_dz = scenario.fiber.gamma * dz_km
     stops = _stops(dz_km, spans)
     n_seeds = len(launch_fields)
-    values = np.empty((len(spans), len(fractions) * n_seeds))
+    values = _shared((len(spans), len(fractions) * n_seeds), np.float64)
 
-    def run(block: range) -> np.ndarray:
+    def run(block: range) -> None:
         which, seeds = np.divmod(np.arange(block.start, block.stop), n_seeds)
         h = np.array([_response(scenario, grid_c, dz_km, fractions[k]) for k in which])
         # Each fraction's run of all seeds is the logical batch its bits follow.
         snapshots = engine.run_segments(
             launch_fields[seeds], h, gamma_dz, stops, launch_fields.nbytes
         )
-        scores = np.empty((len(spans), len(block)))
         for j, (span, outputs) in enumerate(zip(spans, snapshots)):
-            for i, (seed, out_row) in enumerate(zip(seeds, outputs)):
+            for row, seed, out_row in zip(block, seeds, outputs):
                 bench_row = bench_fields[j, seed]
                 if not (np.all(np.isfinite(out_row)) and np.all(np.isfinite(bench_row))):
-                    scores[j, i] = math.inf
+                    values[j, row] = math.inf
                     continue
                 reference = Waveform(samples=bench_row, grid=grid_b, z_km=span)
                 candidate = Waveform(samples=out_row, grid=grid_c, z_km=span)
-                scores[j, i] = nsd(reference, candidate)
-        return scores
+                values[j, row] = nsd(reference, candidate)
 
-    for block, scores in _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads):
-        values[:, block.start : block.stop] = scores
+    _run_blocks(run, len(fractions) * n_seeds, launch_fields[0].nbytes, threads)
     return values.reshape(len(spans), len(fractions), n_seeds)

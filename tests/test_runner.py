@@ -49,6 +49,24 @@ class TestBenchmarkFields:
         whole = list(engine.run_segments(launch, h, scenario.fiber.gamma * cfg.dz_km, stops))
         assert np.array_equal(results[0], np.array(whole))
 
+    def test_holds_no_copy_of_the_snapshot_stack(self, recording_pool, monkeypatch):
+        """Each block writes its snapshots into the shared result, so the
+        caller's heap never holds the (spans, seeds, samples) stack: with 8
+        spans in two blocks, its peak stays below that one stack.  The blocks
+        run inline, where ``tracemalloc`` sees them, and the peak holds at
+        least the launch batch the caller shapes."""
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        scenario = five_seeds(large=True)
+        spans = tuple(float(km) for km in range(1, 9))
+        tracemalloc.start()
+        try:
+            out = runner.benchmark_fields(scenario, spans, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recording_pool[0]["blocks"]) == 2
+        assert out[0].nbytes <= peak < out.nbytes, f"peak {peak / out[0].nbytes:.1f} batches"
+
 
 class TestFractionNsds:
     @pytest.mark.parametrize("spans", [None, (4.0, 8.0)])
@@ -153,12 +171,11 @@ class TestRunBlocks:
     ):
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         seen = []
-        results = runner._run_blocks(seen.append, rows, row_bytes, threads)
+        runner._run_blocks(seen.append, rows, row_bytes, threads)
         (pool,) = recording_pool
         workers, blocks = pool["max_workers"], pool["blocks"]
         assert workers == min(threads or cpus, cpus, rows)
         assert seen == blocks
-        assert results == [(block, None) for block in blocks]
         assert [row for block in blocks for row in block] == list(range(rows))
         assert all(len(block) > 0 for block in blocks)
         assert len(blocks) % workers == 0 or len(blocks) == rows
@@ -168,24 +185,32 @@ class TestRunBlocks:
         per_block = max(1, engine.BLOCK_BYTES // row_bytes)
         assert len(blocks) <= workers or (len(blocks) - workers) * per_block < rows
 
-    def test_block_error_reraises_in_the_parent(self, tmp_path, monkeypatch, capsys):
-        """A worker's exception comes back with its type and message, and
-        ``main`` reports it as it would an error in its own process."""
+    @pytest.mark.parametrize("fault, message", [("raise", "block"), ("kill", "a worker process was killed")])
+    def test_block_error_reraises_in_the_parent(self, fault, message, tmp_path, monkeypatch, capsys):
+        """A worker's exception comes back with its type and message, a
+        worker killed while it runs (as the kernel kills one when memory runs
+        out) raises ``MemoryError``, and ``main`` reports either as it would
+        an error in its own process: exit 2 and one ``error:`` line."""
         config = tmp_path / "scenario.txt"
         config.write_text("span_km = 8\npower_dbm = 6\ncandidate_spp = 6\ncandidate_dz_km = 2\n"
                           "benchmark_spp = 12\nbenchmark_dz_km = 0.5\nn_symbols = 16\nseeds = 2\n",
                           encoding="utf-8")
         monkeypatch.chdir(tmp_path)
 
+        caller = os.getpid()
+
         def exhausted(*args):
+            assert os.getpid() != caller, "a block ran in the calling process"
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise MemoryError("block")
 
         monkeypatch.setattr(engine, "run_segments", exhausted)
         with pytest.raises(MemoryError) as exc:
             runner.benchmark_fields(five_seeds(large=False), threads=2)
-        assert type(exc.value) is MemoryError and str(exc.value) == "block"
+        assert type(exc.value) is MemoryError and str(exc.value) == message
         assert main(["sweep", "--axis", "distance", "--values", "8", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.strip().splitlines()[-1] == "error: out of memory: block"
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: out of memory: {message}"]
 
     def test_no_worker_outlives_its_call(self):
         scenario = five_seeds(large=False)
@@ -198,10 +223,13 @@ class TestRunBlocks:
         """Workers ignore SIGINT, so Ctrl-C raises one ``KeyboardInterrupt``
         in the parent and no worker prints a traceback."""
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-        handlers = runner._run_blocks(
-            lambda block: signal.getsignal(signal.SIGINT), 2, engine.BLOCK_BYTES, 2
-        )
-        assert [handler for _, handler in handlers] == [signal.SIG_IGN, signal.SIG_IGN]
+        ignored = runner._shared((2,), np.bool_)
+
+        def probe(block):
+            ignored[block.start] = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+        runner._run_blocks(probe, 2, engine.BLOCK_BYTES, 2)
+        assert ignored.tolist() == [True, True]
         assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
 
     def test_cli_import_leaves_the_pool_machinery_out(self):
