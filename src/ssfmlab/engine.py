@@ -25,14 +25,8 @@ __all__ = [
     "linear_multiplier",
     "propagate",
     "run_segments",
-    "BENCHMARK_SPP",
-    "BENCHMARK_DZ_KM",
     "BLOCK_BYTES",
 ]
-
-# Reference discretization used for accuracy baselines.
-BENCHMARK_SPP = 30
-BENCHMARK_DZ_KM = 0.1
 
 # numpy elides the temporary of a binary operation from this many bytes on,
 # which swapped the operands of the Kerr product in larger batches; batched
@@ -77,7 +71,7 @@ class SsfmConfig:
 
     dz_km: float
     n_seg: int
-    filter_fraction: float = 1.0
+    filter_fraction: float
 
     def __post_init__(self) -> None:
         _check_step(self.dz_km)

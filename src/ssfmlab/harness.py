@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import bandwidth, runner
-from .engine import BENCHMARK_DZ_KM, BENCHMARK_SPP, FiberParams, SsfmConfig, propagate
+from .engine import FiberParams, SsfmConfig, propagate
 from .signals import LaunchSpec, SamplingGrid, Waveform, gen_symbols, make_grid, shape_pulse
 
 __all__ = [
@@ -129,8 +129,8 @@ class Scenario:
     filter_fraction: float | str = OPTIMIZE
     n_symbols: int = 256
     seeds: tuple[int, ...] = tuple(range(20))
-    benchmark_spp: int = BENCHMARK_SPP
-    benchmark_dz_km: float = BENCHMARK_DZ_KM
+    benchmark_spp: int = 30
+    benchmark_dz_km: float = 0.1
     optimize_fractions: tuple[float, ...] = parse_fraction_spec("0.5:0.01:1.0")
     candidate_grid: SamplingGrid = field(init=False, repr=False, compare=False)
     benchmark_grid: SamplingGrid = field(init=False, repr=False, compare=False)
@@ -450,17 +450,16 @@ class SweepJob:
 def _preset_scenario(
     spp: int, power_dbm: float, desk_scale: bool, desk_seeds: int, span_km: float, dz_km: float
 ) -> Scenario:
-    """An optimizing preset scenario at full scale (256 symbols, 20 seeds, 0.01
-    fraction grid) or desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 grid)."""
-    n_symbols, n_seeds, step = (64, desk_seeds, "0.05") if desk_scale else (256, 20, "0.01")
+    """An optimizing preset scenario at full scale (``Scenario``'s defaults) or
+    desk scale (64 symbols, ``desk_seeds`` seeds, 0.05 fraction grid)."""
+    scale = dict(n_symbols=64, seeds=range(desk_seeds),
+                 optimize_fractions=parse_fraction_spec("0.5:0.05:1.0")) if desk_scale else {}
     return Scenario(
         fiber=FiberParams(span_km=span_km),
         launch=LaunchSpec(power_dbm=power_dbm),
         candidate_spp=spp,
         candidate_dz_km=dz_km,
-        n_symbols=n_symbols,
-        seeds=range(n_seeds),
-        optimize_fractions=parse_fraction_spec(f"0.5:{step}:1.0"),
+        **scale,
     )
 
 

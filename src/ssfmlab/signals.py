@@ -54,8 +54,8 @@ class SamplingGrid:
         return np.fft.fftfreq(self.n_samples, self.dt)
 
 
-def make_grid(n_symbols: int, samples_per_symbol: int, symbol_time: float = 100.0) -> SamplingGrid:
-    """Build the sampling grid for ``n_symbols`` slots of ``symbol_time`` ps.
+def make_grid(n_symbols: int, samples_per_symbol: int, symbol_time: float) -> SamplingGrid:
+    """Build the sampling grid for ``n_symbols`` of the launch's ``symbol_time`` ps slots.
 
     ``samples_per_symbol`` must be at least 2 and the total sample count must
     come out even, because the resampler assigns a single shared bin to the

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from ssfmlab import runner
 from ssfmlab.engine import (
-    BENCHMARK_DZ_KM,
-    BENCHMARK_SPP,
     BLOCK_BYTES,
     FiberParams,
     NumericalOverflowError,
@@ -24,11 +22,6 @@ from conftest import energy, replace
 from reference_impl import analytic_dispersion, traditional_ssfm
 
 FIBER = FiberParams(beta2=-21.7, gamma=1.27, span_km=100.0)
-
-
-def test_benchmark_constants():
-    assert BENCHMARK_SPP == 30
-    assert BENCHMARK_DZ_KM == 0.1
 
 
 class TestConfigs:
@@ -56,9 +49,9 @@ class TestConfigs:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            SsfmConfig(dz_km=0.0, n_seg=10)
+            SsfmConfig(dz_km=0.0, n_seg=10, filter_fraction=1.0)
         with pytest.raises(ValueError):
-            SsfmConfig(dz_km=1.0, n_seg=0)
+            SsfmConfig(dz_km=1.0, n_seg=0, filter_fraction=1.0)
 
     def test_fiber_validation(self):
         with pytest.raises(ValueError):
@@ -212,7 +205,7 @@ class TestPropagate:
 
     def test_rejects_config_not_covering_span(self, small_waveform):
         with pytest.raises(ValueError):
-            propagate(small_waveform, FIBER, SsfmConfig(dz_km=10.0, n_seg=9))
+            propagate(small_waveform, FIBER, SsfmConfig(dz_km=10.0, n_seg=9, filter_fraction=1.0))
 
     def test_gain_overflow_raises_with_segment_index(self, small_waveform):
         fiber = FiberParams(beta2=-21.7, gamma=1.27, span_km=500.0, alpha=-2.0)

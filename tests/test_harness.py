@@ -11,6 +11,7 @@ from ssfmlab import runner
 from ssfmlab.engine import FiberParams
 from ssfmlab.harness import (
     _KEYS,
+    _PRESET_TABLE,
     _REQUIRED_KEYS,
     _select_best,
     AXES,
@@ -443,10 +444,22 @@ class TestCsvOutput:
 
 class TestPresets:
     def test_preset_names(self):
+        """Every preset has jobs at both scales.  A full-scale job takes
+        ``Scenario``'s defaults for its symbols, seeds and fraction grid; a desk
+        job has 64 symbols, its table row's desk seed count and the 0.05 grid."""
         assert PRESETS == ("fig2", "fig3a", "fig3b", "fig3c", "fig3d")
+        scale_keys = ("n_symbols", "seeds", "optimize_fractions")
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario) if f.name in scale_keys}
+        desk_grid = parse_fraction_spec("0.5:0.05:1.0")
         for name in PRESETS:
-            assert preset_jobs(name, desk_scale=True)
-            assert preset_jobs(name)
+            desk_jobs, full_jobs = preset_jobs(name, desk_scale=True), preset_jobs(name)
+            assert desk_jobs and full_jobs
+            for job in full_jobs:
+                assert {key: getattr(job.base, key) for key in scale_keys} == defaults, job.label
+            desk = {"n_symbols": 64, "seeds": tuple(range(_PRESET_TABLE[name][1])),
+                    "optimize_fractions": desk_grid}
+            for job in desk_jobs:
+                assert {key: getattr(job.base, key) for key in scale_keys} == desk, job.label
 
     def test_time_discretization_study(self):
         for desk_scale, n_seeds in ((True, 6), (False, 20)):

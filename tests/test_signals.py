@@ -34,16 +34,16 @@ class TestMakeGrid:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            make_grid(0, 8)
+            make_grid(0, 8, 100.0)
         with pytest.raises(ValueError):
-            make_grid(4, 1)
+            make_grid(4, 1, 100.0)
         with pytest.raises(ValueError):
             make_grid(4, 8, 0.0)
         with pytest.raises(ValueError):
             make_grid(4, 8, math.inf)
         # odd total sample count has no single Nyquist bin
         with pytest.raises(ValueError):
-            make_grid(3, 3)
+            make_grid(3, 3, 100.0)
 
 
 class TestDbmToWatts:

@@ -152,6 +152,32 @@ def test_readme_flag_table_matches_the_parser():
         assert marked == defined, flag
 
 
+def test_readme_scenario_example_keeps_its_defaults():
+    """Each key of README's scenario example whose comment calls its value the
+    default, and each key under "(defaults shown)", parses to what a file of
+    only the four required keys gives; so does the default grid that the
+    ``optimize_fractions`` comment names."""
+    block = _readme().split("```ini\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#") for line in block.splitlines()]
+    minimal = harness.parse_scenario("\n".join(
+        text for text, _, _ in lines if text.partition("=")[0].strip() in harness._REQUIRED_KEYS
+    ))
+    example = harness.parse_scenario(block)
+    shown = block.split("(defaults shown)\n", 1)[1].split("\n\n", 1)[0]
+    stated = {text.partition("=")[0].strip() for text, _, comment in lines
+              if re.search(r"\bdefault( \(.*\))?$", comment.strip())}
+    stated |= {line.partition("=")[0].strip() for line in shown.splitlines()}
+    assert stated == {"beta2_ps2_per_km", "gamma_per_w_km", "alpha_per_km", "baud_gbaud",
+                      "rolloff", "n_symbols", "benchmark_spp", "benchmark_dz_km"}
+    for key in stated:
+        owner, _, name = harness._KEYS[key][0].rpartition(".")
+        given, default = (getattr(getattr(s, owner) if owner else s, name) for s in (example, minimal))
+        assert given == default, key
+    (comment,) = [comment for text, _, comment in lines if text.strip().startswith("optimize_fractions")]
+    grid = re.search(r"default (\S+)$", comment.strip()).group(1)
+    assert harness.parse_fraction_spec(grid) == minimal.optimize_fractions
+
+
 def test_readme_names_every_preset_and_axis():
     """README's preset table has one row per preset, and its ``sweep`` axes
     list one entry per axis, in the package's order."""
